@@ -56,16 +56,15 @@ def _ints(values) -> list[int]:
 
 # --- sg group ----------------------------------------------------------------
 
-def _run_sg(args, parser) -> tuple[dict, object, str]:
+def _run_sg(args, parser, params: dict) -> tuple[object, str]:
     gens = _parse_int_list(args.gens, parser, "--gens")
-    params = {"gens": gens}
-    semigroup = make_semigroup(gens)
+    params["gens"] = gens
     op = args.sg_op
+    if op == "apery" and args.mod is not None:
+        params["mod"] = args.mod
+    semigroup = make_semigroup(gens)
     if op == "apery":
-        n = args.mod
-        if n is not None:
-            params["mod"] = n
-        ap = semigroup.apery_set(n)
+        ap = semigroup.apery_set(args.mod)
         result = {"modulus": ap.modulus, "elements": _ints(ap.elements),
                   "table": _ints(ap.table)}
         text = ",".join(str(v) for v in ap.elements)
@@ -84,24 +83,24 @@ def _run_sg(args, parser) -> tuple[dict, object, str]:
     else:  # msg
         result = _ints(semigroup.minimal_generators())
         text = ",".join(str(v) for v in result)
-    return params, result, text
+    return result, text
 
 
 # --- tuplets group -------------------------------------------------------------
 
-def _run_tuplets(args, parser) -> tuple[dict, object, str]:
+def _run_tuplets(args, parser, params: dict) -> tuple[object, str]:
     op = args.tuplets_op
     if op == "find":
         pattern = _pattern_of(args.pattern, parser)
-        params = {"pattern": _ints(pattern.offsets), "from": args.lo, "to": args.hi,
-                  "consecutive": args.consecutive}
+        params.update({"pattern": _ints(pattern.offsets), "from": args.lo, "to": args.hi,
+                       "consecutive": args.consecutive})
         found = find_tuplets(pattern, args.lo, args.hi, args.consecutive,
                              allow_inadmissible=args.allow_inadmissible)
         result = [{"p": t.p, "primes": _ints(t.primes)} for t in found]
         text = "\n".join(",".join(str(q) for q in t.primes) for t in found) or "(none)"
     elif op == "admissible":
         pattern = _pattern_of(args.pattern, parser)
-        params = {"pattern": _ints(pattern.offsets)}
+        params["pattern"] = _ints(pattern.offsets)
         report = is_admissible(pattern)
         result = {"admissible": report.admissible,
                   "witness_prime": report.witness_prime,
@@ -113,11 +112,11 @@ def _run_tuplets(args, parser) -> tuple[dict, object, str]:
             residues = ",".join(str(r) for r in report.residues_at_witness)
             text = f"not admissible: residues ({residues}) cover every class mod {report.witness_prime}"
     else:  # sk
-        params = {"k": args.k}
+        params["k"] = args.k
         s, patterns = smallest_diameter(args.k)
         result = {"k": args.k, "s": s, "patterns": [_ints(p.offsets) for p in patterns]}
         text = f"s({args.k}) = {s}\n" + "\n".join(str(p) for p in patterns)
-    return params, result, text
+    return result, text
 
 
 # --- formula group -------------------------------------------------------------
@@ -128,11 +127,11 @@ def _family_or_error(family_id: str, parser) -> str:
     return family_id
 
 
-def _run_formula(args, parser) -> tuple[dict, object, str]:
+def _run_formula(args, parser, params: dict) -> tuple[object, str]:
     op = args.formula_op
     if op == "eval":
         family_id = _family_or_error(args.family, parser)
-        params = {"family": family_id, "k": args.k}
+        params.update({"family": family_id, "k": args.k})
         d = FAMILIES[family_id]
         p = d.p_of_k(args.k)
         if d.has_apery_form:
@@ -160,12 +159,11 @@ def _run_formula(args, parser) -> tuple[dict, object, str]:
                 text += f", t={d.type_value}"
     elif op == "from-p":
         pattern = _pattern_of(args.pattern, parser)
-        params = {"p": args.p, "pattern": _ints(pattern.offsets)}
+        params.update({"p": args.p, "pattern": _ints(pattern.offsets)})
         family_id, k = classify(args.p, pattern)
         result = frobenius_from_p(args.p, pattern)
         text = str(result)
     else:  # list
-        params = {}
         result = family_registry()
         lines = []
         for row in result:
@@ -173,7 +171,7 @@ def _run_formula(args, parser) -> tuple[dict, object, str]:
                          f"  p = {row['p_modulus']}k+{row['p_residue']}"
                          f"  type {row['type']} (k >= {row['type_k_min']})")
         text = "\n".join(lines)
-    return params, result, text
+    return result, text
 
 
 # --- verify group --------------------------------------------------------------
@@ -185,12 +183,12 @@ def _parse_k_range(text: str, parser) -> tuple[int, int]:
     return int(m.group(1)), int(m.group(2))
 
 
-def _run_verify(args, parser) -> tuple[dict, object, str]:
+def _run_verify(args, parser, params: dict) -> tuple[object, str]:
     op = args.verify_op
     if op == "sweep":
         family_id = _family_or_error(args.family, parser)
         k_lo, k_hi = _parse_k_range(args.k_range, parser)
-        params = {"family": family_id, "k_lo": k_lo, "k_hi": k_hi}
+        params.update({"family": family_id, "k_lo": k_lo, "k_hi": k_hi})
         report = sweep_family(family_id, k_lo, k_hi)
         # timing is dropped from the payload so identical inputs print identically
         result = report.to_json_dict(include_timing=False)
@@ -213,9 +211,9 @@ def _run_verify(args, parser) -> tuple[dict, object, str]:
         else:
             modulus, residue = args.modulus, args.residue
             min_p = args.min_p
-        params = {"pattern": _ints(pattern.offsets), "p_modulus": modulus,
-                  "p_residue": residue, "max_p": args.max_p,
-                  "primes_only": args.primes_only}
+        params.update({"pattern": _ints(pattern.offsets), "p_modulus": modulus,
+                       "p_residue": residue, "max_p": args.max_p,
+                       "primes_only": args.primes_only})
         fit = fit_conjecture(pattern, modulus, residue, max_p=args.max_p,
                              min_p=min_p, primes_only=args.primes_only,
                              max_samples=args.samples)
@@ -225,7 +223,7 @@ def _run_verify(args, parser) -> tuple[dict, object, str]:
                 f"p = {modulus}k+{residue}\n"
                 f"exact={fit.exact} a2==2/q={fit.a2_equals_2_over_q} "
                 f"a0_integer={fit.a0_integer} samples={len(fit.samples)}")
-    return params, result, text
+    return result, text
 
 
 # --- parser / dispatch ----------------------------------------------------------
@@ -330,13 +328,14 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse already printed the synopsis
         return int(exc.code or 0)
     command = _command_string(args)
+    params: dict = {}  # filled before the library call, so error envelopes carry it too
     try:
-        params, result, text = args.run(args, parser)
+        result, text = args.run(args, parser, params)
     except SystemExit as exc:  # late usage errors from parser.error
         return int(exc.code or 0)
     except DomainError as exc:
         if args.format == "json":
-            envelope = {"command": command, "params": {},
+            envelope = {"command": command, "params": params,
                         "error": {"type": type(exc).__name__, "message": str(exc)},
                         "exit_code": 1}
             print(json.dumps(envelope, indent=2, sort_keys=True))

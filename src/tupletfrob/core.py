@@ -14,7 +14,10 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
+import numpy as np
+
 from .errors import (
+    BoundExceededError,
     EmptyInputError,
     GcdNotOneError,
     ModulusNotInSemigroupError,
@@ -29,6 +32,13 @@ __all__ = [
     "SemigroupInvariants",
     "make_semigroup",
 ]
+
+# The engine holds one int64 entry per residue class of the Apéry modulus, so
+# it refuses moduli above this (80 MB of table); the oracle's own bound is
+# verification.DEFAULT_BOUND_LIMIT.
+APERY_MODULUS_LIMIT = 10 ** 7
+# Marks classes not reached yet; every table value stays below it.
+_UNREACHED = 1 << 62
 
 
 @dataclass(frozen=True)
@@ -99,39 +109,52 @@ class SemigroupInvariants:
             raise ValueError("the type must count the pseudo-Frobenius numbers")
 
 
-def _residue_table(n: int, gens: tuple[int, ...]) -> tuple[int, ...]:
-    """Least reachable element of every residue class mod n.
+def _residue_table(n: int, gens: tuple[int, ...]) -> np.ndarray:
+    """Least reachable element of every residue class mod n, as a read-only int64 array.
 
-    Round-robin relaxation: for one generator a, each orbit of +a on Z_n is
-    swept once starting from its currently-minimal entry, which closes the
-    table under adding a.  Any combination of generators can be reordered so
-    that equal steps are consecutive, hence a single pass over the generators
-    reaches the global fixed point.
+    Round robin (Böcker and Lipták, Algorithmica 2007): for one generator a,
+    each orbit of +a on Z_n is swept once starting from its currently
+    minimal entry, which closes the table under adding a.  Any combination
+    of generators can be reordered so that equal steps are consecutive,
+    hence a single pass over the generators reaches the global fixed point.
+    Along an orbit rotated to start at its minimum, the sweep is
+    new[j] = j*a + min over i <= j of (old[i] - i*a): one running minimum.
+
+    Raises BoundExceededError, before allocating anything, when n is above
+    APERY_MODULUS_LIMIT or when (n - 1) * max(gens) reaches 2**62.  Every
+    value of the table is a sum of at most n - 1 generators, so below that
+    bound the table, the sentinel of unreached classes and w + a all fit in
+    int64.
     """
-    if n == 1:
-        return (0,)
-    w: list = [0] + [math.inf] * (n - 1)
+    if n > APERY_MODULUS_LIMIT:
+        raise BoundExceededError(
+            f"Apéry modulus {n} exceeds the engine limit {APERY_MODULUS_LIMIT}")
+    if (n - 1) * max(gens) >= _UNREACHED:
+        raise BoundExceededError(
+            f"({n} - 1) * {max(gens)} reaches 2**62: Apéry values could overflow int64")
+    w = np.full(n, _UNREACHED, dtype=np.int64)
+    w[0] = 0
     for a in gens:
         step = a % n
         if step == 0:
             continue
-        cycle_len = n // math.gcd(step, n)
-        for r in range(math.gcd(step, n)):
-            pos = r
-            best_pos, best = r, w[r]
-            for _ in range(cycle_len - 1):
-                pos = (pos + step) % n
-                if w[pos] < best:
-                    best_pos, best = pos, w[pos]
-            cur = best_pos
-            for _ in range(cycle_len - 1):
-                nxt = (cur + step) % n
-                cand = w[cur] + a
-                if cand < w[nxt]:
-                    w[nxt] = cand
-                cur = nxt
-    assert all(x != math.inf for x in w), "gcd 1 guarantees every class is reachable"
-    return tuple(w)
+        orbits = math.gcd(step, n)
+        length = n // orbits
+        # orbit r is r + offsets[j]; the offsets are multiples of `orbits`,
+        # so column r of positions holds the orbit of r in +a order
+        offsets = np.arange(length, dtype=np.int64) * step % n
+        positions = offsets[:, None] + np.arange(orbits)
+        start = positions[np.argmin(w[positions], axis=0), np.arange(orbits)]
+        positions = offsets[:, None] + start
+        positions %= n
+        ja = (np.arange(length, dtype=np.int64) * a)[:, None]
+        swept = w[positions] - ja
+        np.minimum.accumulate(swept, axis=0, out=swept)
+        swept += ja
+        w[positions] = swept
+    assert w.max() < _UNREACHED, "gcd 1 guarantees every class is reachable"
+    w.flags.writeable = False
+    return w
 
 
 @dataclass(frozen=True)
@@ -146,7 +169,7 @@ class NumericalSemigroup:
         return self.generators.elements[0]
 
     @cached_property
-    def _table(self) -> tuple[int, ...]:
+    def _table(self) -> np.ndarray:
         # Apéry table at the multiplicity; backs membership and the invariants.
         # cached_property writes straight into __dict__, so the frozen
         # dataclass stays immutable from the caller's point of view.
@@ -156,7 +179,7 @@ class NumericalSemigroup:
         """Membership test; negative integers are never members."""
         if x < 0:
             return False
-        return x >= self._table[x % self.multiplicity]
+        return x >= int(self._table[x % self.multiplicity])
 
     def __contains__(self, x: int) -> bool:
         return self.contains(x)
@@ -164,21 +187,31 @@ class NumericalSemigroup:
     def apery_set(self, n: int | None = None) -> AperySet:
         """Apéry set with respect to n, a nonzero element (default: multiplicity)."""
         if n is None or n == self.multiplicity:
-            return AperySet(self.multiplicity, self._table)
+            return AperySet(self.multiplicity, tuple(self._table.tolist()))
         if n < 1 or not self.contains(n):
             raise ModulusNotInSemigroupError(f"{n} is not a nonzero element of the semigroup")
-        return AperySet(n, _residue_table(n, self.generators.elements))
+        return AperySet(n, tuple(_residue_table(n, self.generators.elements).tolist()))
 
     def frobenius_number(self) -> int:
         """Largest integer outside the semigroup; -1 when there are no gaps."""
-        return max(self._table) - self.multiplicity
+        return int(self._table.max()) - self.multiplicity
 
     def genus(self) -> int:
-        """Number of gaps, in exact integer arithmetic."""
+        """Number of gaps, in exact integer arithmetic.
+
+        The class of i holds the gaps i, i + m, ..., w[i] - m, that is
+        w[i] // m of them because w[i] is congruent to i mod m.
+        """
+        return int((self._table // self.multiplicity).sum())
+
+    @cached_property
+    def _pseudo_frobenius(self) -> tuple[int, ...]:
         m = self.multiplicity
-        twice = 2 * sum(self._table) - m * (m - 1)
-        assert twice % (2 * m) == 0, "the gap count is always an integer"
-        return twice // (2 * m)
+        w = self._table
+        maximal = np.ones(m, dtype=bool)
+        for a in self.generators.elements:
+            maximal &= np.roll(w, -(a % m)) != w + a
+        return tuple(np.sort(w[maximal] - m).tolist())
 
     def pseudo_frobenius(self) -> tuple[int, ...]:
         """Sorted gaps x such that x plus any nonzero member is a member.
@@ -189,16 +222,10 @@ class NumericalSemigroup:
         witness w' = w + s admits a generator prefix of s, and stripping the
         rest of s keeps the defining property.
         """
-        m = self.multiplicity
-        if m == 1:
+        if self.multiplicity == 1:
             raise SemigroupIsNaturalsError(
                 "every non-negative integer is a member; no pseudo-Frobenius numbers exist")
-        table = self._table
-        gens = self.generators.elements
-        out = [w - m for i, w in enumerate(table)
-               if all(table[(i + a) % m] != w + a for a in gens)]
-        out.sort()
-        return tuple(out)
+        return self._pseudo_frobenius
 
     def type(self) -> int:
         """Number of pseudo-Frobenius numbers."""

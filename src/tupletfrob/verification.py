@@ -19,6 +19,7 @@ import numpy as np
 from .core import make_semigroup
 from .errors import (
     BoundExceededError,
+    DomainError,
     GcdNotOneError,
     InsufficientSamplesError,
     NonPositiveElementError,
@@ -45,6 +46,8 @@ __all__ = [
     "sweep_family",
 ]
 
+# Cells of the oracle's reachability table; the engine's bound on its Apéry
+# modulus is core.APERY_MODULUS_LIMIT.
 DEFAULT_BOUND_LIMIT = 10 ** 9
 # Oracle comparisons inside sweeps are skipped above this reachability bound
 # to keep memory flat; the Apéry engine still covers those rows.
@@ -100,13 +103,16 @@ def oracle_frobenius(gens, *, with_gaps: bool = True,
         if bound > bound_limit:
             raise BoundExceededError(
                 f"grown reachability bound {bound} exceeds {bound_limit}")
-    gaps = np.flatnonzero(~reachable)
-    if gaps.size == 0:
+    # F and the genus are read off the table itself: a gap index array costs
+    # 8 bytes per gap, several times the table, and threaded sweeps run
+    # several oracles at once
+    genus = size - int(np.count_nonzero(reachable))
+    if genus == 0:
         return OracleResult(-1, 0, () if with_gaps else None)
     return OracleResult(
-        frobenius=int(gaps[-1]),
-        genus=int(gaps.size),
-        gaps=tuple(int(x) for x in gaps) if with_gaps else None,
+        frobenius=size - 1 - int(np.argmin(reachable[::-1])),  # the last False
+        genus=genus,
+        gaps=tuple(np.flatnonzero(~reachable).tolist()) if with_gaps else None,
     )
 
 
@@ -276,6 +282,8 @@ def fit_conjecture(pattern: OffsetPattern, p_modulus: int, p_residue: int, *,
     nothing with the family formula tables.  With primes_only, only p whose
     whole pattern lands on primes are sampled.
     """
+    if p_modulus < 1:
+        raise DomainError(f"p_modulus must be a positive integer, got {p_modulus}")
     if min_p is None:
         min_p = p_residue
     p = min_p + (p_residue - min_p) % p_modulus

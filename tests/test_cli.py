@@ -1,8 +1,16 @@
 """Command-line interface tests: dispatch, formats, exit codes, determinism."""
 
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
+import tupletfrob
 from tupletfrob.cli import main
+
+SRC = str(Path(tupletfrob.__file__).resolve().parents[1])
 
 
 def run(capsys, *argv):
@@ -14,6 +22,23 @@ def run(capsys, *argv):
 def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv, "--format", "json")
     return code, json.loads(out), err
+
+
+def _two_gib_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+def run_process(*argv, timeout=60):
+    """A JSON CLI call in its own process, killed after `timeout` seconds.
+
+    The address space is capped at 2 GiB, so a call that tried to allocate
+    a table for a huge input fails there instead of exhausting the machine.
+    """
+    done = subprocess.run([sys.executable, "-m", "tupletfrob.cli", *argv, "--format", "json"],
+                          capture_output=True, timeout=timeout,
+                          preexec_fn=_two_gib_address_space,
+                          env={**os.environ, "PYTHONPATH": SRC})
+    return done.returncode, json.loads(done.stdout)
 
 
 class TestSgGroup:
@@ -47,6 +72,19 @@ class TestSgGroup:
         assert code == 1
         assert payload["exit_code"] == 1
         assert payload["error"]["type"] == "SemigroupIsNaturalsError"
+
+    def test_domain_error_envelope_carries_params(self, capsys):
+        code, payload, _ = run_json(capsys, "sg", "frobenius", "--gens", "4,6")
+        assert code == 1
+        assert payload["params"] == {"gens": [4, 6]}
+        assert payload["error"]["type"] == "GcdNotOneError"
+
+    def test_engine_bound_exits_1_at_once(self):
+        code, payload = run_process("sg", "frobenius", "--gens", "1000000007,1000000009",
+                                    timeout=30)
+        assert code == 1
+        assert payload["error"]["type"] == "BoundExceededError"
+        assert payload["params"] == {"gens": [1000000007, 1000000009]}
 
     def test_usage_error_exit_2(self, capsys):
         code, _, err = run(capsys, "sg", "frobenius", "--gens", "a,b")
@@ -158,6 +196,20 @@ class TestVerifyGroup:
         assert code == 0
         assert payload["result"]["exact"] is True
         assert payload["result"]["poly"]["a0"] == [-4, 1]
+
+    def test_conjecture_zero_modulus(self):
+        code, payload = run_process("verify", "conjecture", "--pattern", "0,2,6",
+                                    "--max-p", "1000", "--modulus", "0", "--residue", "5")
+        assert code == 1
+        assert payload["error"]["type"] == "DomainError"
+        assert payload["params"]["p_modulus"] == 0
+
+    def test_conjecture_negative_modulus(self):
+        code, payload = run_process("verify", "conjecture", "--pattern", "0,2,6",
+                                    "--max-p", "1000", "--modulus", "-6", "--residue", "5")
+        assert code == 1
+        assert payload["error"]["type"] == "DomainError"
+        assert payload["params"]["p_modulus"] == -6
 
     def test_conjecture_ambiguous_pattern_needs_class(self, capsys):
         # two quadruplet families share 0,2,6,8

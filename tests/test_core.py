@@ -2,12 +2,14 @@
 
 import math
 import random
+import tracemalloc
 
 import pytest
 
-from tupletfrob import GeneratorSet, make_semigroup
-from tupletfrob.core import _residue_table
+from tupletfrob import GeneratorSet, make_semigroup, oracle_frobenius
+from tupletfrob.core import APERY_MODULUS_LIMIT, _residue_table
 from tupletfrob.errors import (
+    BoundExceededError,
     EmptyInputError,
     GcdNotOneError,
     ModulusNotInSemigroupError,
@@ -109,11 +111,113 @@ class TestAperySet:
         for _ in range(25):
             gens = tuple(random_coprime_gens(rng, max_multiplicity=80))
             n = gens[0]
-            reference = _residue_table(n, gens)
+            reference = _residue_table(n, gens).tolist()
             for _ in range(3):
                 shuffled = list(gens)
                 rng.shuffle(shuffled)
-                assert _residue_table(n, tuple(shuffled)) == reference
+                assert _residue_table(n, tuple(shuffled)).tolist() == reference
+
+
+def brute_members(gens, size):
+    """reachable[x] for 0 <= x < size, by dynamic programming over the generators."""
+    reachable = [True] + [False] * (size - 1)
+    for x in range(1, size):
+        reachable[x] = any(x >= g and reachable[x - g] for g in gens)
+    return reachable
+
+
+def brute_apery(reachable, n):
+    """Least member of each class mod n; needs reachable over [0, n * max(gens)),
+    because an Apéry element is a sum of at most n - 1 generators."""
+    table = [None] * n
+    for x, member in enumerate(reachable):
+        if member and table[x % n] is None:
+            table[x % n] = x
+    return table
+
+
+class TestEngineAgainstBruteForce:
+    # n = 1 and n = 2; generators that are multiples of n; steps sharing a
+    # factor with n, so that +a splits Z_n into several orbits
+    FIXED = [(1,), (1, 7), (2, 3), (2, 4, 5), (2, 9, 11), (4, 8, 9), (6, 12, 13, 18),
+             (12, 15, 20, 23), (12, 18, 20, 27), (30, 42, 45, 70, 77), (10, 24, 25, 36, 43)]
+
+    def cases(self):
+        rng = random.Random(20)
+        yield from self.FIXED
+        while True:
+            n = rng.randint(1, 40)
+            gens = {n, *(rng.randint(1, 3 * n + 10) for _ in range(rng.randint(1, 5)))}
+            if rng.random() < 0.3:
+                gens.add(n * rng.randint(2, 4))
+            if math.gcd(*gens) == 1:
+                yield tuple(sorted(gens))
+
+    def test_tables_and_invariants(self):
+        rng = random.Random(21)
+        for gens, _ in zip(self.cases(), range(150)):
+            n = gens[0]
+            other = gens[-1] + n  # a member that is not the multiplicity
+            reachable = brute_members(gens, other * gens[-1])
+            want = brute_apery(reachable, n)
+            shuffled = list(gens)
+            rng.shuffle(shuffled)
+            assert _residue_table(n, tuple(shuffled)).tolist() == want, shuffled
+            s = make_semigroup(shuffled)
+            assert list(s.apery_set().table) == want
+            oracle = oracle_frobenius(gens)
+            assert (s.frobenius_number(), s.genus()) == (oracle.frobenius, oracle.genus), gens
+            if n > 1:
+                def member(x):
+                    return x >= want[x % n]
+                pf = tuple(x for x in range(oracle.frobenius + 1)
+                           if not member(x) and all(member(x + g) for g in gens))
+                assert s.pseudo_frobenius() == pf, gens
+                assert s.type() == len(pf)
+            assert list(s.apery_set(other).table) == brute_apery(reachable, other), gens
+
+    def test_table_is_read_only(self):
+        table = make_semigroup([11, 13, 17])._table
+        with pytest.raises(ValueError):
+            table[1] = 0
+
+    def test_values_near_the_int64_bound(self):
+        # (n1 - 1) * nk just below 2**62; Sylvester gives the exact answers
+        for a, b in ((2, 2 ** 62 - 1), (3, 2 ** 61 - 1)):
+            s = make_semigroup([a, b])
+            assert s.frobenius_number() == a * b - a - b
+            assert s.genus() == (a - 1) * (b - 1) // 2
+            assert s.pseudo_frobenius() == (a * b - a - b,)
+
+
+class TestEngineBounds:
+    def test_modulus_above_limit_raises_before_allocating(self):
+        s = make_semigroup([APERY_MODULUS_LIMIT + 1, APERY_MODULUS_LIMIT + 2])
+        tracemalloc.start()
+        try:
+            with pytest.raises(BoundExceededError, match="engine limit"):
+                s.frobenius_number()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_huge_multiplicity(self):
+        s = make_semigroup([1000000007, 1000000009])
+        for query in (s.frobenius_number, s.genus, s.pseudo_frobenius, s.type,
+                      s.apery_set, lambda: s.contains(5)):
+            with pytest.raises(BoundExceededError):
+                query()
+
+    def test_apery_modulus_above_limit(self):
+        s = make_semigroup([11, 13, 17])
+        with pytest.raises(BoundExceededError):
+            s.apery_set(11 * (APERY_MODULUS_LIMIT // 11 + 1))
+
+    def test_int64_overflow_guard(self):
+        for gens in ([3, 2 ** 62 + 1], [2, 2 ** 62 + 1], [5, 7, 2 ** 61]):
+            with pytest.raises(BoundExceededError, match="2\\*\\*62"):
+                make_semigroup(gens).frobenius_number()
 
 
 class TestMembership:

@@ -17,6 +17,7 @@ from tupletfrob import (
 )
 from tupletfrob.errors import (
     BoundExceededError,
+    DomainError,
     GcdNotOneError,
     InsufficientSamplesError,
 )
@@ -149,6 +150,10 @@ class TestFitConjecture:
         d = FAMILIES["T1"]
         with pytest.raises(InsufficientSamplesError):
             fit_conjecture(d.pattern, d.p_modulus, d.p_residue, max_p=20)
+
+    def test_zero_modulus_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="p_modulus"):
+            fit_conjecture(OffsetPattern((0, 2, 6)), 0, 5, max_p=1000)
 
     def test_mixed_classes_are_not_quadratic(self):
         # sampling across different residue classes breaks the fit; this is
