@@ -35,7 +35,8 @@ __all__ = [
 
 # The engine holds one int64 entry per residue class of the Apéry modulus, so
 # it refuses moduli above this (80 MB of table); the oracle's own bound is
-# verification.DEFAULT_BOUND_LIMIT.
+# verification.DEFAULT_BOUND_LIMIT, and the constellation sieve's is
+# tuplets.SIEVE_HEIGHT_LIMIT.
 APERY_MODULUS_LIMIT = 10 ** 7
 # Marks classes not reached yet; every table value stays below it.
 _UNREACHED = 1 << 62

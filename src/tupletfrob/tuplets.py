@@ -12,7 +12,9 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import KTooLargeError, NotAdmissibleError
+import numpy as np
+
+from .errors import BoundExceededError, KTooLargeError, NotAdmissibleError
 
 __all__ = [
     "AdmissibilityReport",
@@ -27,6 +29,14 @@ __all__ = [
 # Deterministic Miller-Rabin witness set for the full 64-bit range.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_LIMIT = 1 << 64
+
+# find_tuplets refuses windows whose top (hi + pattern diameter) is above this.
+# At the limit the base-prime sieve covers isqrt(10^16) = 10^8 entries (100 MB
+# of flags), and every p^2 and ceil(lo/p)*p of the window marking fits in
+# int64.  The Apéry engine's own bound is core.APERY_MODULUS_LIMIT.
+SIEVE_HEIGHT_LIMIT = 10 ** 16
+# Numbers per sieve segment; each segment's buffer also holds the diameter.
+_SEGMENT_LENGTH = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -70,17 +80,16 @@ class AdmissibilityReport:
             raise ValueError("a witness prime exists exactly for inadmissible patterns")
 
 
-def _primes_up_to(n: int) -> list[int]:
-    """Plain sieve, inclusive."""
+def _primes_up_to(n: int) -> np.ndarray:
+    """All primes <= n, ascending, as an int64 array."""
     if n < 2:
-        return []
-    flags = bytearray(b"\x01") * (n + 1)
-    flags[0] = flags[1] = 0
+        return np.empty(0, dtype=np.int64)
+    flags = np.ones(n + 1, dtype=bool)
+    flags[:2] = False
     for p in range(2, math.isqrt(n) + 1):
         if flags[p]:
-            start = p * p
-            flags[start::p] = b"\x00" * ((n - start) // p + 1)
-    return [i for i, f in enumerate(flags) if f]
+            flags[p * p::p] = False
+    return np.flatnonzero(flags).astype(np.int64, copy=False)
 
 
 def is_admissible(pattern: OffsetPattern) -> AdmissibilityReport:
@@ -89,7 +98,7 @@ def is_admissible(pattern: OffsetPattern) -> AdmissibilityReport:
     Only primes q <= k matter: k offsets cannot cover more than k classes.
     The witness, if any, is the smallest covered prime.
     """
-    for q in _primes_up_to(pattern.size):
+    for q in _primes_up_to(pattern.size).tolist():
         residues = tuple(sorted(b % q for b in pattern.offsets))
         if len(set(residues)) == q:
             return AdmissibilityReport(False, q, residues)
@@ -161,17 +170,22 @@ class PrimeTuplet:
         return tuple(self.p + b for b in self.pattern.offsets)
 
 
-def _sieve_flags(lo: int, hi: int, base_primes: list[int]) -> bytearray:
-    """Primality flags for the window [lo, hi]."""
+def _sieve_flags(lo: int, hi: int, base_primes: np.ndarray) -> np.ndarray:
+    """Primality flags for the window [lo, hi], lo >= 2.
+
+    base_primes must hold every prime up to isqrt(hi).  A prime no larger
+    than the window crosses off its multiples with one slice; a larger one
+    has at most one multiple in the window, so those are crossed off
+    together with one fancy-index store.
+    """
     size = hi - lo + 1
-    flags = bytearray(b"\x01") * size
-    for x in range(lo, min(hi, 1) + 1):
-        flags[x - lo] = 0
-    for p in base_primes:
-        start = max(p * p, ((lo + p - 1) // p) * p)
-        if start > hi:
-            continue
-        flags[start - lo::p] = b"\x00" * ((hi - start) // p + 1)
+    flags = np.ones(size, dtype=bool)
+    starts = np.maximum(base_primes * base_primes, -(-lo // base_primes) * base_primes)
+    small = np.searchsorted(base_primes, size, side="right")
+    for p, start in zip(base_primes[:small].tolist(), starts[:small].tolist()):
+        flags[start - lo::p] = False
+    large = starts[small:]
+    flags[large[large <= hi] - lo] = False
     return flags
 
 
@@ -188,13 +202,19 @@ def find_tuplets(
     With require_consecutive the pattern primes must be consecutive primes:
     no stray prime may sit strictly between p and p + diameter.  Inadmissible
     patterns are refused (they admit at most finitely many instances) unless
-    allow_inadmissible is set.
+    allow_inadmissible is set.  Raises BoundExceededError, before allocating
+    anything, when hi + diameter is above SIEVE_HEIGHT_LIMIT.
 
     Sieving is segmented: each window is extended by the pattern diameter so
-    every candidate p can be judged inside a single buffer.
+    every candidate p can be judged inside a single buffer.  The base primes
+    up to sqrt(hi + diameter) are sieved afresh on every call.
     """
     if lo > hi:
         raise ValueError("lo must not exceed hi")
+    diam = pattern.diameter
+    if hi + diam > SIEVE_HEIGHT_LIMIT:
+        raise BoundExceededError(
+            f"window top {hi} + diameter {diam} exceeds the sieve limit {SIEVE_HEIGHT_LIMIT}")
     report = is_admissible(pattern)
     if not report.admissible and not allow_inadmissible:
         raise NotAdmissibleError(
@@ -203,24 +223,21 @@ def find_tuplets(
     lo = max(lo, 2)
     if lo > hi:
         return []
-    diam = pattern.diameter
     base_primes = _primes_up_to(math.isqrt(hi + diam))
     offsets = pattern.offsets
-    offset_set = set(offsets)
     out: list[PrimeTuplet] = []
-    seg_len = 1 << 18
     seg_lo = lo
     while seg_lo <= hi:
-        seg_hi = min(seg_lo + seg_len - 1, hi)
-        flags = _sieve_flags(seg_lo, seg_hi + diam, base_primes)
+        seg_hi = min(seg_lo + _SEGMENT_LENGTH - 1, hi)
         span = seg_hi - seg_lo + 1
-        i = flags.find(1, 0, span)
-        while i != -1:
-            p = seg_lo + i
-            if all(flags[i + b] for b in offsets):
-                if not require_consecutive or not any(
-                        flags[i + x] and x not in offset_set for x in range(1, diam)):
-                    out.append(PrimeTuplet(p, pattern))
-            i = flags.find(1, i + 1, span)
+        flags = _sieve_flags(seg_lo, seg_hi + diam, base_primes)
+        hits = flags[:span].copy()
+        for b in offsets[1:]:
+            hits &= flags[b:b + span]
+        if require_consecutive:
+            # the k pattern primes are then the only primes in [p, p + diameter]
+            primes_before = np.concatenate(([0], np.cumsum(flags)))
+            hits &= primes_before[diam + 1:diam + 1 + span] - primes_before[:span] == len(offsets)
+        out.extend(PrimeTuplet(seg_lo + i, pattern) for i in np.flatnonzero(hits).tolist())
         seg_lo = seg_hi + 1
     return out

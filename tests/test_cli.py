@@ -7,10 +7,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import tupletfrob
 from tupletfrob.cli import main
 
 SRC = str(Path(tupletfrob.__file__).resolve().parents[1])
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run(capsys, *argv):
@@ -108,6 +111,27 @@ class TestTupletsGroup:
             {"p": 11, "primes": [11, 13, 17]},
             {"p": 17, "primes": [17, 19, 23]},
         ]
+
+    @pytest.mark.parametrize("golden, argv", [
+        ("find_0,2,6_5_20.txt", ["--pattern", "0,2,6", "--from", "5", "--to", "20"]),
+        ("find_0,2,6,8_100_2100.json",
+         ["--pattern", "0,2,6,8", "--from", "100", "--to", "2100", "--format", "json"]),
+        ("find_0,6_5_5_no-consecutive.txt",
+         ["--pattern", "0,6", "--from", "5", "--to", "5", "--no-consecutive"]),
+    ])
+    def test_find_stdout_is_byte_identical(self, capsys, golden, argv):
+        code, out, _ = run(capsys, "tuplets", "find", *argv)
+        assert code == 0
+        assert out.encode() == (GOLDEN / golden).read_bytes()
+
+    def test_find_above_height_limit_exits_1_at_once(self):
+        code, payload = run_process("tuplets", "find", "--pattern", "0,2,6",
+                                    "--from", "1000000000000000000",
+                                    "--to", "1000000000000000000", timeout=30)
+        assert code == 1
+        assert payload["error"]["type"] == "BoundExceededError"
+        assert payload["params"] == {"pattern": [0, 2, 6], "from": 10 ** 18, "to": 10 ** 18,
+                                     "consecutive": True}
 
     def test_find_inadmissible_is_domain_error(self, capsys):
         code, _, err = run(capsys, "tuplets", "find", "--pattern", "0,2,4",

@@ -1,6 +1,7 @@
 """Constellation tests: admissibility, s(k), primality, sieving."""
 
 import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -13,8 +14,11 @@ from tupletfrob import (
     is_prime,
     smallest_diameter,
 )
-from tupletfrob.errors import KTooLargeError, NotAdmissibleError
-from tupletfrob.tuplets import _primes_up_to
+from tupletfrob.errors import BoundExceededError, KTooLargeError, NotAdmissibleError
+from tupletfrob.tuplets import SIEVE_HEIGHT_LIMIT, _primes_up_to
+
+# the 8 tightest patterns of 3 to 7 primes, as smallest_diameter(3..7) lists them
+TIGHTEST = [p.offsets for k in range(3, 8) for p in smallest_diameter(k)[1]]
 
 
 class TestOffsetPattern:
@@ -173,8 +177,104 @@ class TestFindTuplets:
 
     def test_against_naive_enumeration(self):
         pattern = OffsetPattern((0, 2, 6, 8))
-        primes = set(_primes_up_to(2100))
         naive = [p for p in range(2, 2000)
-                 if all(p + b in primes for b in pattern.offsets)
-                 and not any(x in primes for x in range(p + 1, p + 8) if x - p not in (2, 6))]
+                 if all(is_prime(p + b) for b in pattern.offsets)
+                 and not any(is_prime(x) for x in range(p + 1, p + 8) if x - p not in (2, 6))]
         assert [t.p for t in find_tuplets(pattern, 2, 1999)] == naive
+
+
+def _tuplets_by_is_prime(offsets, lo, hi, prime, consecutive):
+    """Reference enumeration from the set of primes in [lo, hi + diameter]
+    found by Miller-Rabin."""
+    inside = set(offsets)
+    return [p for p in sorted(prime) if lo <= p <= hi
+            and all(p + b in prime for b in offsets)
+            and not (consecutive and any(p + x in prime
+                                         for x in range(1, offsets[-1]) if x not in inside))]
+
+
+class TestSieveAgainstMillerRabin:
+    """find_tuplets against is_prime, which shares no code with the sieve."""
+
+    PATTERNS = TIGHTEST + [(0, 2, 4), (0, 2), (0, 6)]  # (0, 2, 4) is inadmissible
+
+    def check_window(self, lo, hi):
+        top = hi + max(offsets[-1] for offsets in self.PATTERNS)
+        prime = {n for n in range(max(lo, 0), top + 1) if is_prime(n)}
+        for offsets in self.PATTERNS:
+            for consecutive in (True, False):
+                got = find_tuplets(OffsetPattern(offsets), lo, hi, consecutive,
+                                   allow_inadmissible=True)
+                want = _tuplets_by_is_prime(offsets, lo, hi, prime, consecutive)
+                assert [t.p for t in got] == want, (offsets, lo, hi, consecutive)
+
+    @pytest.mark.parametrize("lo", [0, 1, 2])
+    def test_windows_from_the_bottom(self, lo):
+        self.check_window(lo, 3000)
+
+    def test_random_heights(self):
+        rng = random.Random(4242)
+        for _ in range(24):
+            height = int(10 ** rng.uniform(3, 12))
+            lo = height - rng.randrange(50)
+            self.check_window(lo, lo + rng.randrange(1, 3000))
+
+    def test_windows_crossing_segment_boundaries(self):
+        # 2**18 numbers per segment: these windows need two or three segments
+        rng = random.Random(4343)
+        for height in (10 ** 3, 10 ** 12):
+            lo = height + rng.randrange(1000)
+            self.check_window(lo, lo + (1 << 18) + rng.randrange(1, 2000))
+        self.check_window(10 ** 6, 10 ** 6 + (1 << 19) + 7)
+
+    def test_prime_square_just_above_hi(self):
+        # q^2 lies in (hi, hi + diameter]: the base primes must reach sqrt(hi + diameter)
+        for q in (5, 7, 11, 101, 1009, 100003):
+            self.check_window(q * q - 60, q * q - 1)
+        assert [t.p for t in find_tuplets(OffsetPattern((0, 6)), 23, 23)] == [23]
+
+    def test_segment_edges_hold_tuplets(self):
+        # each tuplet once on the last number of a window's first segment, once on its first
+        pattern = OffsetPattern((0, 2, 6))
+        seg = 1 << 18
+        for p in (t.p for t in find_tuplets(pattern, 10 ** 9, 10 ** 9 + 10 ** 5)):
+            for lo in (p - seg + 1, p):
+                assert p in [t.p for t in find_tuplets(pattern, lo, lo + seg + 10)]
+
+    def test_at_the_height_limit(self):
+        # hi + diameter equals the limit: base primes up to 10^8, int64 starts near 10^16
+        pattern = OffsetPattern((0, 2))
+        hi = SIEVE_HEIGHT_LIMIT - 2
+        lo = hi - 3000
+        prime = {n for n in range(lo, hi + 3) if is_prime(n)}
+        want = _tuplets_by_is_prime((0, 2), lo, hi, prime, True)
+        assert want and [t.p for t in find_tuplets(pattern, lo, hi)] == want
+
+
+class TestSieveHeightBound:
+    def test_above_limit_raises_before_allocating(self):
+        pattern = OffsetPattern((0, 2, 6))
+        tracemalloc.start()
+        try:
+            with pytest.raises(BoundExceededError, match="sieve limit"):
+                find_tuplets(pattern, 10 ** 18, 10 ** 18)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_limit_applies_to_hi_plus_diameter(self):
+        pattern = OffsetPattern((0, 2, 6))
+        with pytest.raises(BoundExceededError):
+            find_tuplets(pattern, SIEVE_HEIGHT_LIMIT - 5, SIEVE_HEIGHT_LIMIT - 5)
+        with pytest.raises(BoundExceededError):
+            find_tuplets(OffsetPattern((0, 2, 4)), 0, SIEVE_HEIGHT_LIMIT,
+                         allow_inadmissible=True)
+
+
+class TestPrimesUpTo:
+    def test_small_values(self):
+        assert _primes_up_to(-1).tolist() == []
+        assert _primes_up_to(1).tolist() == []
+        assert _primes_up_to(2).tolist() == [2]
+        assert _primes_up_to(30).tolist() == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
