@@ -31,6 +31,7 @@ __all__ = [
     "NumericalSemigroup",
     "SemigroupInvariants",
     "make_semigroup",
+    "validate_generators",
 ]
 
 # The engine holds one int64 entry per residue class of the Apéry modulus, so
@@ -42,6 +43,28 @@ APERY_MODULUS_LIMIT = 10 ** 7
 _UNREACHED = 1 << 62
 
 
+def validate_generators(candidates) -> tuple[int, ...]:
+    """The candidates sorted and deduplicated, once they pass the generator checks.
+
+    Every entry point that takes generators (GeneratorSet, make_semigroup and
+    the reachability oracle) goes through here, so each rejects malformed
+    input with the same DomainError: EmptyInputError for no candidates,
+    NonPositiveElementError for anything but a positive int (bools too), and
+    GcdNotOneError when the gcd is not 1.
+    """
+    items = list(candidates)
+    if not items:
+        raise EmptyInputError("need at least one generator")
+    for x in items:
+        # bool is an int subclass, but numpy refuses True as the Apéry table length
+        if isinstance(x, bool) or not isinstance(x, int) or x < 1:
+            raise NonPositiveElementError(f"bad generator {x!r}: must be a positive integer")
+    g = math.gcd(*items)
+    if g != 1:
+        raise GcdNotOneError(g)
+    return tuple(sorted(set(items)))
+
+
 @dataclass(frozen=True)
 class GeneratorSet:
     """Strictly increasing positive integers with overall gcd 1."""
@@ -49,16 +72,8 @@ class GeneratorSet:
     elements: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not self.elements:
-            raise EmptyInputError("need at least one generator")
-        for x in self.elements:
-            if not isinstance(x, int) or x < 1:
-                raise NonPositiveElementError(f"bad generator {x!r}: must be a positive integer")
-        if any(a >= b for a, b in zip(self.elements, self.elements[1:])):
+        if validate_generators(self.elements) != self.elements:
             raise ValueError("generators must be strictly increasing (sorted, no duplicates)")
-        g = math.gcd(*self.elements)
-        if g != 1:
-            raise GcdNotOneError(g)
 
     def __iter__(self):
         return iter(self.elements)
@@ -89,9 +104,6 @@ class AperySet:
     def elements(self) -> tuple[int, ...]:
         """The table values in increasing order."""
         return tuple(sorted(self.table))
-
-    def max_element(self) -> int:
-        return max(self.table)
 
 
 @dataclass(frozen=True)
@@ -266,10 +278,4 @@ def make_semigroup(candidates) -> NumericalSemigroup:
 
     The input is deduplicated and sorted; the gcd of the survivors must be 1.
     """
-    items = list(candidates)
-    if not items:
-        raise EmptyInputError("need at least one generator")
-    for x in items:
-        if not isinstance(x, int) or x < 1:
-            raise NonPositiveElementError(f"bad generator {x!r}: must be a positive integer")
-    return NumericalSemigroup(GeneratorSet(tuple(sorted(set(items)))))
+    return NumericalSemigroup(GeneratorSet(validate_generators(candidates)))

@@ -162,11 +162,14 @@ def _family(family_id: str) -> FamilyDescriptor:
         raise UnsupportedPatternError(f"unknown family {family_id!r}") from None
 
 
-def _apery_family(family_id: str) -> FamilyDescriptor:
+def _apery_family(family_id: str, k: int) -> FamilyDescriptor:
+    """The family, once it has an Apéry closed form valid at k (k >= k_min)."""
     d = _family(family_id)
     if not d.has_apery_form:
         raise UnsupportedPatternError(
             f"family {family_id} has no closed-form Apéry set (only F(p) and the type)")
+    if k < d.k_min:
+        raise KBelowMinimumError(f"{family_id} closed forms need k >= {d.k_min}, got {k}")
     return d
 
 
@@ -248,9 +251,7 @@ _IDENTITIES = {
 
 def lemma_identities(family_id: str, k: int) -> bool:
     """Evaluate both sides of every generator identity of the family at k."""
-    d = _apery_family(family_id)
-    if k < d.k_min:
-        raise KBelowMinimumError(f"{family_id} identities need k >= {d.k_min}, got {k}")
+    _apery_family(family_id, k)
     return all(lhs == rhs for lhs, rhs in _IDENTITIES[family_id](k))
 
 
@@ -302,10 +303,7 @@ def _index_set_size(family_id: str, k: int) -> int:
 
 def apery_closed_form(family_id: str, k: int) -> AperySet:
     """Materialize the family's Apéry set at parameter k."""
-    d = _apery_family(family_id)
-    if k < d.k_min:
-        raise KBelowMinimumError(f"{family_id} closed forms need k >= {d.k_min}, got {k}")
-    gens = d.generators(k)
+    gens = _apery_family(family_id, k).generators(k)
     modulus = gens[0]
     combos = _index_set(family_id, k)
     assert len(combos) == modulus, "index set cardinality must equal the modulus"
@@ -318,8 +316,11 @@ def apery_closed_form(family_id: str, k: int) -> AperySet:
     return AperySet(modulus, tuple(table))  # type: ignore[arg-type]
 
 
-# Hard-coded small case: <5,7,11,13> does not follow the generic polynomials.
-# The largest gap is 9, forced by the Apéry maximum 14 and by max(PF).
+# Q1 at k = 0, <5,7,11,13>, lies below Q1's k_min.  Two functions exempt it
+# from the k guard: its grouped listing follows the generic Q1 blocks, but its
+# invariants do not follow the polynomials and are hard-coded here (the
+# largest gap is 9, forced by the Apéry maximum 14 and by max(PF)).
+_Q1_K0 = ("Q1", 0)
 _Q1_K0_INVARIANTS = SemigroupInvariants(
     frobenius=9, genus=7, pseudo_frobenius=(6, 8, 9), type_=3,
     embedding_dimension=4, minimal_generators=GeneratorSet((5, 7, 11, 13)))
@@ -328,11 +329,9 @@ _Q1_K0_APERY = AperySet(5, (0, 11, 7, 13, 14))
 
 def invariants_closed_form(family_id: str, k: int) -> SemigroupInvariants:
     """Frobenius number, genus, pseudo-Frobenius numbers, and type from the polynomials."""
-    d = _apery_family(family_id)
-    if family_id == "Q1" and k == 0:
+    if (family_id, k) == _Q1_K0:
         return _Q1_K0_INVARIANTS
-    if k < d.k_min:
-        raise KBelowMinimumError(f"{family_id} closed forms need k >= {d.k_min}, got {k}")
+    d = _apery_family(family_id, k)
     assert d.f_in_k and d.g_in_k and d.pf_in_k
     pf = tuple(sorted(_eval_poly(c, k) for c in d.pf_in_k))
     gens = d.generators(k)
@@ -376,11 +375,8 @@ def apery_grouped(family_id: str, k: int) -> list[list[int]]:
     Rewriting the index-set elements against the largest generator yields
     blocks of consecutive near-multiples; this returns those blocks.
     """
-    d = _apery_family(family_id)
-    if family_id == "Q1" and k == 0:
-        return [[0], [7, 11, 13], [14]]
-    if k < d.k_min:
-        raise KBelowMinimumError(f"{family_id} closed forms need k >= {d.k_min}, got {k}")
+    if (family_id, k) != _Q1_K0:
+        _apery_family(family_id, k)
     if family_id == "T1":
         n2, n3 = 6 * k + 7, 6 * k + 11
         groups = [[0], [n2, n3]]

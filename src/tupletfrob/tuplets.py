@@ -37,6 +37,11 @@ _MR_LIMIT = 1 << 64
 SIEVE_HEIGHT_LIMIT = 10 ** 16
 # Numbers per sieve segment; each segment's buffer also holds the diameter.
 _SEGMENT_LENGTH = 1 << 18
+# find_tuplets also refuses patterns wider than this.  A segment buffer holds
+# 2^18 + diameter numbers: one byte of flags each, plus 8 bytes each for the
+# int64 cumsum of the consecutive test and 8 more for its concatenate copy,
+# so at the limit a segment peaks near 17 * 1.26e6 bytes, about 21 MB.
+SIEVE_DIAMETER_LIMIT = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -203,7 +208,8 @@ def find_tuplets(
     no stray prime may sit strictly between p and p + diameter.  Inadmissible
     patterns are refused (they admit at most finitely many instances) unless
     allow_inadmissible is set.  Raises BoundExceededError, before allocating
-    anything, when hi + diameter is above SIEVE_HEIGHT_LIMIT.
+    anything, when hi + diameter is above SIEVE_HEIGHT_LIMIT or the diameter
+    is above SIEVE_DIAMETER_LIMIT.
 
     Sieving is segmented: each window is extended by the pattern diameter so
     every candidate p can be judged inside a single buffer.  The base primes
@@ -212,9 +218,10 @@ def find_tuplets(
     if lo > hi:
         raise ValueError("lo must not exceed hi")
     diam = pattern.diameter
-    if hi + diam > SIEVE_HEIGHT_LIMIT:
+    if hi + diam > SIEVE_HEIGHT_LIMIT or diam > SIEVE_DIAMETER_LIMIT:
         raise BoundExceededError(
-            f"window top {hi} + diameter {diam} exceeds the sieve limit {SIEVE_HEIGHT_LIMIT}")
+            f"window top {hi} + diameter {diam} is outside the sieve limits "
+            f"(top at most {SIEVE_HEIGHT_LIMIT}, diameter at most {SIEVE_DIAMETER_LIMIT})")
     report = is_admissible(pattern)
     if not report.admissible and not allow_inadmissible:
         raise NotAdmissibleError(

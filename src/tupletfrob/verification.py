@@ -8,7 +8,6 @@ conjecture fitter recovers F(p) quadratics with exact rational arithmetic.
 
 from __future__ import annotations
 
-import math
 import os
 import time
 from dataclasses import dataclass
@@ -16,14 +15,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import make_semigroup
-from .errors import (
-    BoundExceededError,
-    DomainError,
-    GcdNotOneError,
-    InsufficientSamplesError,
-    NonPositiveElementError,
-)
+from .core import make_semigroup, validate_generators
+from .errors import BoundExceededError, DomainError, InsufficientSamplesError
 from .families import (
     FAMILIES,
     QuadraticPoly,
@@ -63,31 +56,25 @@ class OracleResult:
     gaps: tuple[int, ...] | None = None
 
 
-def oracle_frobenius(gens, *, with_gaps: bool = True,
-                     bound_limit: int = DEFAULT_BOUND_LIMIT) -> OracleResult:
+def oracle_frobenius(gens, *, with_gaps: bool = True) -> OracleResult:
     """Frobenius number and genus by brute-force reachability over [0, n1*ne].
 
     The table is closed under each generator by shift-or doubling.  n1*ne
     bounds the largest gap whenever the first and last generators are
     coprime; rather than rely on that, the top window of length n1 is checked
-    to be fully reachable and the bound doubled otherwise.
+    to be fully reachable and the bound doubled otherwise.  Generators pass
+    the engine's input check (core.validate_generators), so malformed input
+    raises the same errors here as in make_semigroup; only that check is
+    shared, not the algorithm.
     """
-    items = sorted(set(gens))
-    if not items:
-        raise NonPositiveElementError("need at least one generator")
-    for x in items:
-        if not isinstance(x, int) or x < 1:
-            raise NonPositiveElementError(f"bad generator {x!r}: must be a positive integer")
-    g = math.gcd(*items)
-    if g != 1:
-        raise GcdNotOneError(g)
-    if items == [1]:
+    items = validate_generators(gens)
+    if items == (1,):
         return OracleResult(-1, 0, () if with_gaps else None)
     n1 = items[0]
     bound = n1 * items[-1]
-    if bound > bound_limit:
+    if bound > DEFAULT_BOUND_LIMIT:
         raise BoundExceededError(
-            f"reachability bound {n1}*{items[-1]} = {bound} exceeds {bound_limit}")
+            f"reachability bound {n1}*{items[-1]} = {bound} exceeds {DEFAULT_BOUND_LIMIT}")
     while True:
         size = bound + 1
         reachable = np.zeros(size, dtype=bool)
@@ -100,9 +87,9 @@ def oracle_frobenius(gens, *, with_gaps: bool = True,
         if bool(reachable[size - n1:].all()):
             break
         bound *= 2
-        if bound > bound_limit:
+        if bound > DEFAULT_BOUND_LIMIT:
             raise BoundExceededError(
-                f"grown reachability bound {bound} exceeds {bound_limit}")
+                f"grown reachability bound {bound} exceeds {DEFAULT_BOUND_LIMIT}")
     # F and the genus are read off the table itself: a gap index array costs
     # 8 bytes per gap, several times the table, and threaded sweeps run
     # several oracles at once
@@ -161,7 +148,7 @@ def _jsonable(value):
     return value
 
 
-def _check_k(family_id: str, k: int, oracle_limit: int) -> SweepEntry:
+def _check_k(family_id: str, k: int) -> SweepEntry:
     d = FAMILIES[family_id]
     gens = d.generators(k)
     semigroup = make_semigroup(gens)
@@ -195,7 +182,7 @@ def _check_k(family_id: str, k: int, oracle_limit: int) -> SweepEntry:
         else:
             info["observed_type"] = len(engine_pf)
 
-    if gens[0] * gens[-1] <= oracle_limit:
+    if gens[0] * gens[-1] <= SWEEP_ORACLE_LIMIT:
         oracle = oracle_frobenius(gens, with_gaps=False)
         if oracle.frobenius != engine_f:
             mismatch["oracle_frobenius"] = {"oracle": oracle.frobenius, "engine": engine_f}
@@ -207,18 +194,17 @@ def _check_k(family_id: str, k: int, oracle_limit: int) -> SweepEntry:
     return SweepEntry(k, "match", info or None)
 
 
-def sweep_family(family_id: str, k_lo: int, k_hi: int, *, workers: int | None = None,
-                 oracle_limit: int = SWEEP_ORACLE_LIMIT) -> SweepReport:
+def sweep_family(family_id: str, k_lo: int, k_hi: int, *,
+                 workers: int | None = None) -> SweepReport:
     """Compare closed forms, the Apéry engine, and the oracle over a k range.
 
     Per-k checks are independent; the worker count comes from the
     TUPLETFROB_THREADS environment variable unless given explicitly, and the
     report is ordered by k either way.
     """
-    d = _family(family_id)
-    floor = 0 if family_id == "Q1" else d.k_min if d.has_apery_form else 0
-    if k_lo < floor or k_hi < k_lo:
-        raise ValueError(f"need {floor} <= k_lo <= k_hi for family {family_id}")
+    _family(family_id)
+    if k_lo < 0 or k_hi < k_lo:
+        raise ValueError(f"need 0 <= k_lo <= k_hi for family {family_id}")
     start = time.perf_counter()
     ks = range(k_lo, k_hi + 1)
     if workers is None:
@@ -227,9 +213,9 @@ def sweep_family(family_id: str, k_lo: int, k_hi: int, *, workers: int | None = 
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            entries = tuple(pool.map(lambda k: _check_k(family_id, k, oracle_limit), ks))
+            entries = tuple(pool.map(lambda k: _check_k(family_id, k), ks))
     else:
-        entries = tuple(_check_k(family_id, k, oracle_limit) for k in ks)
+        entries = tuple(_check_k(family_id, k) for k in ks)
     return SweepReport(family_id, k_lo, k_hi, entries, time.perf_counter() - start)
 
 
@@ -283,7 +269,7 @@ def fit_conjecture(pattern: OffsetPattern, p_modulus: int, p_residue: int, *,
     whole pattern lands on primes are sampled.
     """
     if p_modulus < 1:
-        raise DomainError(f"p_modulus must be a positive integer, got {p_modulus}")
+        raise DomainError(f"p_modulus must be at least 1, got {p_modulus}")
     if min_p is None:
         min_p = p_residue
     p = min_p + (p_residue - min_p) % p_modulus

@@ -125,13 +125,17 @@ class TestTupletsGroup:
         assert out.encode() == (GOLDEN / golden).read_bytes()
 
     def test_find_above_height_limit_exits_1_at_once(self):
-        code, payload = run_process("tuplets", "find", "--pattern", "0,2,6",
-                                    "--from", "1000000000000000000",
-                                    "--to", "1000000000000000000", timeout=30)
-        assert code == 1
-        assert payload["error"]["type"] == "BoundExceededError"
-        assert payload["params"] == {"pattern": [0, 2, 6], "from": 10 ** 18, "to": 10 ** 18,
-                                     "consecutive": True}
+        # a window above the height limit, and a low window with a pattern
+        # wider than the diameter limit (its segment would need 931 GiB)
+        for pattern, height in (([0, 2, 6], 10 ** 18), ([0, 2, 10 ** 12 + 2], 5)):
+            code, payload = run_process("tuplets", "find",
+                                        "--pattern", ",".join(map(str, pattern)),
+                                        "--from", str(height), "--to", str(height),
+                                        timeout=30)
+            assert code == 1
+            assert payload["error"]["type"] == "BoundExceededError"
+            assert payload["params"] == {"pattern": pattern, "from": height, "to": height,
+                                         "consecutive": True}
 
     def test_find_inadmissible_is_domain_error(self, capsys):
         code, _, err = run(capsys, "tuplets", "find", "--pattern", "0,2,4",

@@ -15,7 +15,7 @@ from tupletfrob import (
     smallest_diameter,
 )
 from tupletfrob.errors import BoundExceededError, KTooLargeError, NotAdmissibleError
-from tupletfrob.tuplets import SIEVE_HEIGHT_LIMIT, _primes_up_to
+from tupletfrob.tuplets import SIEVE_DIAMETER_LIMIT, SIEVE_HEIGHT_LIMIT, _primes_up_to
 
 # the 8 tightest patterns of 3 to 7 primes, as smallest_diameter(3..7) lists them
 TIGHTEST = [p.offsets for k in range(3, 8) for p in smallest_diameter(k)[1]]
@@ -250,18 +250,30 @@ class TestSieveAgainstMillerRabin:
         want = _tuplets_by_is_prime((0, 2), lo, hi, prime, True)
         assert want and [t.p for t in find_tuplets(pattern, lo, hi)] == want
 
+    def test_pattern_at_the_diameter_limit(self):
+        offsets = (0, SIEVE_DIAMETER_LIMIT)
+        lo, hi = 2, 3000
+        prime = {n for r in (range(lo, hi + 1), range(lo + offsets[1], hi + offsets[1] + 1))
+                 for n in r if is_prime(n)}
+        want = _tuplets_by_is_prime(offsets, lo, hi, prime, False)
+        pattern = OffsetPattern(offsets)
+        assert want and [t.p for t in find_tuplets(pattern, lo, hi, False)] == want
+        # many primes lie between p and p + 10^6, so no consecutive instance exists
+        assert find_tuplets(pattern, lo, hi) == []
+
 
 class TestSieveHeightBound:
     def test_above_limit_raises_before_allocating(self):
-        pattern = OffsetPattern((0, 2, 6))
-        tracemalloc.start()
-        try:
-            with pytest.raises(BoundExceededError, match="sieve limit"):
-                find_tuplets(pattern, 10 ** 18, 10 ** 18)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1 << 20
+        # too high a window, and a low window with too wide a pattern
+        for offsets, height in (((0, 2, 6), 10 ** 18), ((0, 2, SIEVE_DIAMETER_LIMIT + 2), 5)):
+            tracemalloc.start()
+            try:
+                with pytest.raises(BoundExceededError, match="sieve limit"):
+                    find_tuplets(OffsetPattern(offsets), height, height)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20
 
     def test_limit_applies_to_hi_plus_diameter(self):
         pattern = OffsetPattern((0, 2, 6))

@@ -8,6 +8,7 @@ import pytest
 
 from tupletfrob import (
     FAMILIES,
+    GeneratorSet,
     OffsetPattern,
     QuadraticPoly,
     fit_conjecture,
@@ -18,8 +19,10 @@ from tupletfrob import (
 from tupletfrob.errors import (
     BoundExceededError,
     DomainError,
+    EmptyInputError,
     GcdNotOneError,
     InsufficientSamplesError,
+    NonPositiveElementError,
 )
 from tupletfrob.verification import _quadratic_through
 
@@ -71,6 +74,35 @@ class TestOracle:
         # n1 and ne share a factor; the top-window check keeps the answer honest
         res = oracle_frobenius([6, 10, 15])
         assert res.frobenius == 29 and res.genus == 15
+
+
+MALFORMED_GENERATORS = [
+    ([], EmptyInputError),
+    ([0], NonPositiveElementError),
+    ([5, -3], NonPositiveElementError),
+    (["a", 3], NonPositiveElementError),
+    ([None, 3], NonPositiveElementError),
+    ([2.5, 3], NonPositiveElementError),
+    ([True, 3], NonPositiveElementError),
+    ([4, 6], GcdNotOneError),
+]
+
+
+class TestMalformedGenerators:
+    """The engine's entry points and the oracle reject bad input alike."""
+
+    @pytest.mark.parametrize("gens, error", MALFORMED_GENERATORS)
+    def test_same_error_everywhere(self, gens, error):
+        for entry_point in (make_semigroup, oracle_frobenius, GeneratorSet):
+            with pytest.raises(DomainError) as info:
+                entry_point(tuple(gens))
+            assert type(info.value) is error, entry_point
+
+    def test_gcd_is_reported(self):
+        for entry_point in (make_semigroup, oracle_frobenius):
+            with pytest.raises(GcdNotOneError) as info:
+                entry_point([4, 6])
+            assert info.value.gcd == 2
 
 
 class TestSweep:
