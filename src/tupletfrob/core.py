@@ -11,6 +11,7 @@ pseudo-Frobenius numbers all read off from it.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -43,22 +44,31 @@ APERY_MODULUS_LIMIT = 10 ** 7
 _UNREACHED = 1 << 62
 
 
+def _positive_int(x) -> int:
+    """x as a Python int, if it is an integer (operator.index) of at least 1, and not a bool."""
+    try:
+        value = operator.index(x)  # numpy bools have no __index__
+    except TypeError:
+        value = 0
+    # bool is an int subclass, but numpy refuses True as the Apéry table length
+    if isinstance(x, bool) or value < 1:
+        raise NonPositiveElementError(f"bad generator {x!r}: must be a positive integer")
+    return value
+
+
 def validate_generators(candidates) -> tuple[int, ...]:
     """The candidates sorted and deduplicated, once they pass the generator checks.
 
     Every entry point that takes generators (GeneratorSet, make_semigroup and
     the reachability oracle) goes through here, so each rejects malformed
     input with the same DomainError: EmptyInputError for no candidates,
-    NonPositiveElementError for anything but a positive int (bools too), and
-    GcdNotOneError when the gcd is not 1.
+    NonPositiveElementError for anything but a positive integer (bools too;
+    numpy integers and other operator.index types are accepted and returned
+    as Python ints), and GcdNotOneError when the gcd is not 1.
     """
-    items = list(candidates)
+    items = [_positive_int(x) for x in candidates]
     if not items:
         raise EmptyInputError("need at least one generator")
-    for x in items:
-        # bool is an int subclass, but numpy refuses True as the Apéry table length
-        if isinstance(x, bool) or not isinstance(x, int) or x < 1:
-            raise NonPositiveElementError(f"bad generator {x!r}: must be a positive integer")
     g = math.gcd(*items)
     if g != 1:
         raise GcdNotOneError(g)
@@ -72,8 +82,12 @@ class GeneratorSet:
     elements: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if validate_generators(self.elements) != self.elements:
+        elements = validate_generators(self.elements)
+        if elements != self.elements:
             raise ValueError("generators must be strictly increasing (sorted, no duplicates)")
+        # numpy integers compare equal to the Python ints the check returns;
+        # the engine's int64 bounds need Python ints, which do not wrap
+        object.__setattr__(self, "elements", elements)
 
     def __iter__(self):
         return iter(self.elements)

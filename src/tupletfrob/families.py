@@ -14,8 +14,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .core import AperySet, GeneratorSet, SemigroupInvariants
-from .errors import KBelowMinimumError, ResidueMismatchError, UnsupportedPatternError
+import numpy as np
+
+from .core import APERY_MODULUS_LIMIT, AperySet, GeneratorSet, SemigroupInvariants
+from .errors import (
+    BoundExceededError,
+    KBelowMinimumError,
+    ResidueMismatchError,
+    UnsupportedPatternError,
+)
 from .tuplets import OffsetPattern, PrimeTuplet
 
 __all__ = [
@@ -285,7 +292,11 @@ def _index_pieces(family_id: str, k: int) -> list[tuple[tuple[range, ...], froze
 
 
 def _index_set(family_id: str, k: int) -> list[tuple[int, ...]]:
-    """Coefficient tuples over the generators other than the multiplicity."""
+    """Coefficient tuples over the generators other than the multiplicity.
+
+    This enumerates the pieces one tuple at a time; apery_closed_form builds
+    the same pieces as arrays, and the tests compare the two.
+    """
     out = []
     for box, excluded in _index_pieces(family_id, k):
         out.extend(combo for combo in product(*box) if combo not in excluded)
@@ -301,19 +312,50 @@ def _index_set_size(family_id: str, k: int) -> int:
     return total
 
 
+def _listed_family(family_id: str, k: int) -> FamilyDescriptor:
+    """The family, once its Apéry set at k is small enough to list.
+
+    A listing holds one entry per residue class of p(k), so p(k) above
+    core.APERY_MODULUS_LIMIT raises BoundExceededError before anything is
+    allocated, as the engine does.  Below it every listed value,
+    a sum of at most 2k + 4 generators, fits in int64.
+    """
+    d = _apery_family(family_id, k)
+    p = d.p_of_k(k)
+    if p > APERY_MODULUS_LIMIT:
+        raise BoundExceededError(
+            f"Apéry modulus {p} exceeds the listing limit {APERY_MODULUS_LIMIT}")
+    return d
+
+
 def apery_closed_form(family_id: str, k: int) -> AperySet:
-    """Materialize the family's Apéry set at parameter k."""
-    gens = _apery_family(family_id, k).generators(k)
+    """Materialize the family's Apéry set at parameter k.
+
+    Each box of the index set becomes one int64 array of values
+    (sum of coefficient times generator, broadcast over the box), with the
+    excluded combinations masked out; the values then fill the table by
+    residue.  The index set must have exactly `modulus` members and hit
+    every residue class once.
+    """
+    gens = _listed_family(family_id, k).generators(k)
     modulus = gens[0]
-    combos = _index_set(family_id, k)
-    assert len(combos) == modulus, "index set cardinality must equal the modulus"
-    table: list[int | None] = [None] * modulus
-    for combo in combos:
-        value = sum(c * g for c, g in zip(combo, gens[1:]))
-        slot = value % modulus
-        assert table[slot] is None, "index set hit a residue class twice"
-        table[slot] = value
-    return AperySet(modulus, tuple(table))  # type: ignore[arg-type]
+    pieces = []
+    for box, excluded in _index_pieces(family_id, k):
+        values = sum(np.ix_(*(np.arange(r.start, r.stop, dtype=np.int64) * g
+                              for r, g in zip(box, gens[1:]))))
+        keep = np.ones(values.shape, dtype=bool)
+        for combo in excluded:
+            if all(c in r for c, r in zip(combo, box)):
+                keep[tuple(c - r.start for c, r in zip(combo, box))] = False
+        pieces.append(values[keep])
+    values = np.concatenate(pieces)
+    assert values.size == modulus, "index set cardinality must equal the modulus"
+    slots = values % modulus
+    assert np.bincount(slots, minlength=modulus).max() == 1, \
+        "index set hit a residue class twice"
+    table = np.empty(modulus, dtype=np.int64)
+    table[slots] = values
+    return AperySet(modulus, tuple(table.tolist()))
 
 
 # Q1 at k = 0, <5,7,11,13>, lies below Q1's k_min.  Two functions exempt it
@@ -376,7 +418,7 @@ def apery_grouped(family_id: str, k: int) -> list[list[int]]:
     blocks of consecutive near-multiples; this returns those blocks.
     """
     if (family_id, k) != _Q1_K0:
-        _apery_family(family_id, k)
+        _listed_family(family_id, k)
     if family_id == "T1":
         n2, n3 = 6 * k + 7, 6 * k + 11
         groups = [[0], [n2, n3]]

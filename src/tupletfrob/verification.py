@@ -1,7 +1,7 @@
 """Cross-validation: reachability oracle, family sweeps, and quadratic fits.
 
 The oracle deliberately shares no code with the Apéry engine: it marks a
-plain boolean reachability table and reads the largest unmarked index.  The
+bit-packed reachability table and reads the largest unmarked index.  The
 sweep machinery pits the closed forms against the engine and the oracle; the
 conjecture fitter recovers F(p) quadratics with exact rational arithmetic.
 """
@@ -39,12 +39,15 @@ __all__ = [
     "sweep_family",
 ]
 
-# Cells of the oracle's reachability table; the engine's bound on its Apéry
-# modulus is core.APERY_MODULUS_LIMIT.
+# Cells of the oracle's reachability table, checked against each table
+# before it is allocated (10**9 cells take 125 MB at one bit a cell); the
+# engine's bound on its Apéry modulus is core.APERY_MODULUS_LIMIT.
 DEFAULT_BOUND_LIMIT = 10 ** 9
 # Oracle comparisons inside sweeps are skipped above this reachability bound
 # to keep memory flat; the Apéry engine still covers those rows.
 SWEEP_ORACLE_LIMIT = 10 ** 8
+# A word of the oracle's table whose 64 cells are all reachable.
+_ALL_ONES = (1 << 64) - 1
 
 THREADS_ENV_VAR = "TUPLETFROB_THREADS"
 
@@ -56,50 +59,92 @@ class OracleResult:
     gaps: tuple[int, ...] | None = None
 
 
-def oracle_frobenius(gens, *, with_gaps: bool = True) -> OracleResult:
-    """Frobenius number and genus by brute-force reachability over [0, n1*ne].
+def _start_bound(items: tuple[int, ...]) -> int:
+    """Largest cell of the oracle's first table: min(n1*ne, Erdős–Graham + n1).
 
-    The table is closed under each generator by shift-or doubling.  n1*ne
-    bounds the largest gap whenever the first and last generators are
-    coprime; rather than rely on that, the top window of length n1 is checked
-    to be fully reachable and the bound doubled otherwise.  Generators pass
-    the engine's input check (core.validate_generators), so malformed input
-    raises the same errors here as in make_semigroup; only that check is
-    shared, not the algorithm.
+    Erdős and Graham (Acta Arith. 21, 1972) bound the Frobenius number of
+    a1 < ... < an with gcd 1 by 2*a(n-1)*floor(an/n) - an.  Adding n1 leaves
+    a whole window of n1 cells above that bound, so the window check passes
+    on the first table whenever the bound holds.  Two generators start at
+    n1*ne.
+    """
+    n1, ne = items[0], items[-1]
+    bound = n1 * ne
+    if len(items) >= 3:
+        bound = min(bound, 2 * items[-2] * (ne // len(items)) - ne + n1)
+    return bound
+
+
+def _reachable_words(items: tuple[int, ...], size: int) -> np.ndarray:
+    """Reachability of the cells 0 .. size-1, 64 cells to a little-endian uint64 word.
+
+    Cell i is bit i % 64 of word i // 64.  The table is closed under each
+    generator by shift-or doubling: shifting by s moves each word q = s // 64
+    words up and r = s % 64 bits up, the r top bits carrying into the next
+    word.  The carry pass also reads words that the first pass has just
+    updated; their cells are reachable too, so the table can only gain
+    reachable cells early.  Bits above cell size-1 in the last word are left
+    as they fall.
+    """
+    words = np.zeros((size + 63) // 64, dtype="<u8")
+    words[0] = 1
+    for a in items:
+        shift = a
+        while shift < size:
+            q, r = divmod(shift, 64)
+            if r == 0:
+                words[q:] |= words[:words.size - q]
+            else:
+                words[q:] |= words[:words.size - q] << np.uint64(r)
+                # carry word: the bits shifted out of the top of each source word
+                words[q + 1:] |= words[:words.size - q - 1] >> np.uint64(64 - r)
+            shift <<= 1
+    return words
+
+
+def _cells(words: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """Cells start .. stop-1 of a word table as a uint8 array of 0s and 1s."""
+    bits = np.unpackbits(words[start // 64:(stop + 63) // 64].view(np.uint8),
+                         bitorder="little")
+    offset = start % 64
+    return bits[offset:offset + stop - start]
+
+
+def oracle_frobenius(gens, *, with_gaps: bool = True) -> OracleResult:
+    """Frobenius number and genus by brute-force reachability over a bit-packed table.
+
+    The table holds one bit per cell, closed under each generator by
+    shift-or doubling.  It starts at the Erdős–Graham bound plus n1 for three
+    or more generators (n1*ne for two, or when smaller); rather than rely on
+    that bound, the top window of length n1 is checked to be fully reachable
+    and the bound doubled otherwise.  Generators pass the engine's input
+    check (core.validate_generators), so malformed input raises the same
+    errors here as in make_semigroup; only that check is shared, not the
+    algorithm.
     """
     items = validate_generators(gens)
-    if items == (1,):
-        return OracleResult(-1, 0, () if with_gaps else None)
     n1 = items[0]
-    bound = n1 * items[-1]
-    if bound > DEFAULT_BOUND_LIMIT:
-        raise BoundExceededError(
-            f"reachability bound {n1}*{items[-1]} = {bound} exceeds {DEFAULT_BOUND_LIMIT}")
+    bound = _start_bound(items)
     while True:
-        size = bound + 1
-        reachable = np.zeros(size, dtype=bool)
-        reachable[0] = True
-        for a in items:
-            shift = a
-            while shift < size:
-                reachable[shift:] |= reachable[:-shift]
-                shift <<= 1
-        if bool(reachable[size - n1:].all()):
-            break
-        bound *= 2
         if bound > DEFAULT_BOUND_LIMIT:
             raise BoundExceededError(
-                f"grown reachability bound {bound} exceeds {DEFAULT_BOUND_LIMIT}")
-    # F and the genus are read off the table itself: a gap index array costs
-    # 8 bytes per gap, several times the table, and threaded sweeps run
-    # several oracles at once
-    genus = size - int(np.count_nonzero(reachable))
+                f"reachability bound {bound} exceeds {DEFAULT_BOUND_LIMIT}")
+        size = bound + 1
+        words = _reachable_words(items, size)
+        if bool(_cells(words, size - n1, size).all()):
+            break
+        bound *= 2
+    # the bits above the last cell count as reachable, so every zero bit is a gap
+    pad = words.size * 64 - size
+    words[-1] |= np.uint64(((1 << pad) - 1) << (64 - pad))
+    genus = words.size * 64 - int(np.bitwise_count(words).sum())
     if genus == 0:
         return OracleResult(-1, 0, () if with_gaps else None)
+    last = words.size - 1 - int(np.argmax(words[::-1] != np.uint64(_ALL_ONES)))
     return OracleResult(
-        frobenius=size - 1 - int(np.argmin(reachable[::-1])),  # the last False
+        frobenius=last * 64 + (int(words[last]) ^ _ALL_ONES).bit_length() - 1,
         genus=genus,
-        gaps=tuple(np.flatnonzero(~reachable).tolist()) if with_gaps else None,
+        gaps=tuple(np.flatnonzero(_cells(words, 0, size) == 0).tolist()) if with_gaps else None,
     )
 
 

@@ -170,6 +170,16 @@ class TestFormulaGroup:
                            "--style", "paper")
         assert "Ap: 0; 13, 17; 26, 30, 34; 43, 47, 51; 60, 64" in out
 
+    def test_eval_paper_style_above_listing_limit_exits_1_at_once(self):
+        argv = ("formula", "eval", "--family", "T1", "--k", "100000000")
+        code, payload = run_process(*argv, "--style", "paper", timeout=30)
+        assert code == 1
+        assert payload["error"]["type"] == "BoundExceededError"
+        assert payload["params"] == {"family": "T1", "k": 100000000}
+        # without the listing, the invariants come from the polynomials
+        code, payload = run_process(*argv, timeout=30)
+        assert code == 0 and payload["result"]["p"] == 600000005
+
     def test_eval_wide_family(self, capsys):
         code, payload, _ = run_json(capsys, "formula", "eval", "--family", "Quin1", "--k", "0")
         assert payload["result"]["frobenius"] == 31

@@ -7,7 +7,7 @@ import tracemalloc
 import pytest
 
 from tupletfrob import GeneratorSet, make_semigroup, oracle_frobenius
-from tupletfrob.core import APERY_MODULUS_LIMIT, _residue_table
+from tupletfrob.core import APERY_MODULUS_LIMIT, AperySet, _residue_table
 from tupletfrob.errors import (
     BoundExceededError,
     EmptyInputError,
@@ -94,6 +94,13 @@ class TestAperySet:
         assert ap.modulus == 24 and len(ap.table) == 24
         assert all(w % 24 == i for i, w in enumerate(ap.table))
         assert all(not s.contains(w - 24) for w in ap.table if w)
+
+    def test_table_checks(self):
+        assert AperySet(5, (0, 11, 7, 13, 14)).elements == (0, 7, 11, 13, 14)
+        for table, message in (((0, 11, 7, 13), "length"), ((5, 11, 7, 13, 14), "hold 0"),
+                               ((0, 11, 8, 13, 14), "table\\[2\\] = 8 is not congruent")):
+            with pytest.raises(ValueError, match=message):
+                AperySet(5, table)
 
     def test_defining_property_random(self):
         rng = random.Random(1)

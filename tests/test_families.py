@@ -1,7 +1,10 @@
 """Closed-form family tests: identities, Apéry index sets, polynomials, classification."""
 
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -22,12 +25,16 @@ from tupletfrob import (
     make_semigroup,
     type_from_family,
 )
+from tupletfrob import families
 from tupletfrob.errors import (
+    BoundExceededError,
     KBelowMinimumError,
     ResidueMismatchError,
     UnsupportedPatternError,
 )
 from tupletfrob.families import _index_set, _index_set_size
+
+from test_cli import SRC, _two_gib_address_space
 
 APERY_FAMILIES = ("T1", "T2", "Q1", "Q2")
 MODULUS_OF = {"T1": lambda k: 6 * k + 5, "T2": lambda k: 6 * k + 7,
@@ -129,6 +136,42 @@ class TestAperyClosedForm:
             apery_closed_form("Q1", 0)
         with pytest.raises(KBelowMinimumError):
             apery_closed_form("T1", -1)
+
+    @pytest.mark.parametrize("fid", APERY_FAMILIES)
+    def test_array_build_matches_tuple_enumeration(self, fid):
+        # the index set enumerated one coefficient tuple at a time, summed in
+        # Python ints and placed by residue, is the reference for the arrays
+        rng = random.Random(41)
+        lo = FAMILIES[fid].k_min
+        for k in [*range(lo, 40), *rng.sample(range(40, 3000), 10)]:
+            gens = FAMILIES[fid].generators(k)
+            table = [None] * gens[0]
+            for combo in _index_set(fid, k):
+                value = sum(c * g for c, g in zip(combo, gens[1:]))
+                assert table[value % gens[0]] is None
+                table[value % gens[0]] = value
+            assert apery_closed_form(fid, k).table == tuple(table), k
+
+    def test_listing_bound(self, monkeypatch):
+        monkeypatch.setattr(families, "APERY_MODULUS_LIMIT", 11)
+        assert apery_closed_form("T1", 1).modulus == 11
+        assert apery_grouped("T1", 1)
+        for listing in (apery_closed_form, apery_grouped):
+            with pytest.raises(BoundExceededError, match="listing limit"):
+                listing("T1", 2)
+        # the invariants are polynomials and need no listing
+        assert invariants_closed_form("T1", 2).frobenius == 12 * 4 + 28 * 2 + 13
+
+    def test_listing_bound_raises_before_allocating(self):
+        # p = 6 * 10**8 + 5: a table of that many entries would not fit under the cap
+        done = subprocess.run(
+            [sys.executable, "-c",
+             "from tupletfrob import apery_closed_form; apery_closed_form('T1', 10**8)"],
+            capture_output=True, text=True, timeout=30, preexec_fn=_two_gib_address_space,
+            env={**os.environ, "PYTHONPATH": SRC})
+        assert done.returncode == 1
+        assert done.stderr.strip().splitlines()[-1].startswith(
+            "tupletfrob.errors.BoundExceededError: Apéry modulus 600000005 exceeds")
 
     def test_no_apery_form_for_wide_families(self):
         with pytest.raises(UnsupportedPatternError):

@@ -1,14 +1,18 @@
 """Oracle, sweep, and conjecture-fit tests."""
 
 import json
+import math
 import random
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from tupletfrob import (
     FAMILIES,
     GeneratorSet,
+    NumericalSemigroup,
     OffsetPattern,
     QuadraticPoly,
     fit_conjecture,
@@ -24,6 +28,7 @@ from tupletfrob.errors import (
     InsufficientSamplesError,
     NonPositiveElementError,
 )
+from tupletfrob import verification
 from tupletfrob.verification import _quadratic_through
 
 from test_core import random_coprime_gens
@@ -76,6 +81,98 @@ class TestOracle:
         assert res.frobenius == 29 and res.genus == 15
 
 
+def reachability_by_scan(gens):
+    """Frobenius number, genus and gaps by marking members one integer at a time.
+
+    Pure Python, no table bound: the scan stops after n1 consecutive members,
+    beyond which every integer is a member.
+    """
+    n1 = min(gens)
+    members = [True]
+    run = 1
+    while run < n1:
+        x = len(members)
+        member = any(x >= a and members[x - a] for a in gens)
+        members.append(member)
+        run = run + 1 if member else 0
+    gaps = tuple(x for x, member in enumerate(members) if not member)
+    return (gaps[-1] if gaps else -1), len(gaps), gaps
+
+
+# Word-boundary cases of the bit-packed table: generators that are multiples
+# of 64 (a shift of whole words), tables of 64 cells (7*9 + 1) and of
+# 64*65 + 1 cells, n1 above 64 (the top window spans several words), gcd(n1,
+# ne) > 1, and a start below n1*ne from a negative Erdős–Graham bound.
+WORD_BOUNDARY_GENERATORS = [
+    (64, 97, 135), (128, 192, 257), (7, 9), (64, 65), (131, 140, 151, 177),
+    (6, 10, 15), (70, 99, 140), (1, 2, 5), (2, 3),
+]
+
+
+class TestOracleDifferential:
+    """The bit-packed oracle against a pure-Python scan."""
+
+    def cases(self):
+        yield from WORD_BOUNDARY_GENERATORS
+        rng = random.Random(31)
+        done = 0
+        while done < 200:
+            gens = tuple(rng.randint(1, 300) for _ in range(rng.randint(2, 6)))
+            if math.gcd(*gens) == 1:
+                done += 1
+                yield gens
+
+    def test_against_scan(self):
+        for gens in self.cases():
+            f, genus, gaps = reachability_by_scan(gens)
+            assert oracle_frobenius(gens) == verification.OracleResult(f, genus, gaps), gens
+            assert oracle_frobenius(gens, with_gaps=False) == \
+                verification.OracleResult(f, genus, None), gens
+
+    @pytest.mark.parametrize("gens", [(3, 5), (7, 9), (64, 97, 135), (131, 140, 151, 177),
+                                      (6, 10, 15)])
+    def test_forced_start_bounds(self, monkeypatch, gens):
+        # every start from n1 - 1 up gives every table size mod 64; below
+        # F + n1 the top window holds a gap, so the first table must fail
+        # the window check and the bound be doubled
+        f, genus, gaps = reachability_by_scan(gens)
+        n1 = gens[0]
+        sizes = []
+        build = verification._reachable_words
+        monkeypatch.setattr(verification, "_reachable_words",
+                            lambda items, size: sizes.append(size) or build(items, size))
+        for start in range(n1 - 1, f + n1 + 130):
+            monkeypatch.setattr(verification, "_start_bound", lambda items, s=start: s)
+            sizes.clear()
+            assert oracle_frobenius(gens) == verification.OracleResult(f, genus, gaps), start
+            assert (len(sizes) == 1) == (start >= f + n1), (start, sizes)
+
+    def test_bound_limit_applies_to_the_allocated_table(self, monkeypatch):
+        # n1*ne = 130 is above the limit, the Erdős–Graham start 69 is not
+        monkeypatch.setattr(verification, "DEFAULT_BOUND_LIMIT", 70)
+        gens = (10, 11, 12, 13)
+        f, genus, _ = reachability_by_scan(gens)
+        assert oracle_frobenius(gens, with_gaps=False) == \
+            verification.OracleResult(f, genus, None)
+        # F = 29, so a start of 36 fails the window check and doubles past the limit
+        assert f == 29
+        monkeypatch.setattr(verification, "_start_bound", lambda items: 36)
+        with pytest.raises(BoundExceededError):
+            oracle_frobenius(gens)
+
+    def test_memory_is_a_fraction_of_a_byte_table(self):
+        # a byte per cell over [0, n1*ne] was the previous table
+        gens = FAMILIES["T1"].generators(399)
+        byte_table = gens[0] * gens[-1] + 1
+        tracemalloc.start()
+        try:
+            oracle_frobenius(gens, with_gaps=False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < byte_table / 4, (peak, byte_table)
+
+
 MALFORMED_GENERATORS = [
     ([], EmptyInputError),
     ([0], NonPositiveElementError),
@@ -85,6 +182,10 @@ MALFORMED_GENERATORS = [
     ([2.5, 3], NonPositiveElementError),
     ([True, 3], NonPositiveElementError),
     ([4, 6], GcdNotOneError),
+    ([np.True_, 3], NonPositiveElementError),
+    ([np.int64(0), 3], NonPositiveElementError),
+    ([np.float64(3.0), 5], NonPositiveElementError),
+    ([np.int64(4), np.uint8(6)], GcdNotOneError),
 ]
 
 
@@ -97,6 +198,19 @@ class TestMalformedGenerators:
             with pytest.raises(DomainError) as info:
                 entry_point(tuple(gens))
             assert type(info.value) is error, entry_point
+
+    def test_numpy_integers_are_accepted_as_python_ints(self):
+        gens = np.array([5, 3], dtype=np.int64)
+        s = make_semigroup(gens)
+        assert s.generators.elements == (3, 5)
+        assert all(type(g) is int for g in s.generators.elements)
+        assert s.frobenius_number() == 7
+        assert oracle_frobenius(gens) == oracle_frobenius([3, 5])
+        direct = GeneratorSet((np.int64(7), np.int64(2 ** 61 + 1)))
+        assert all(type(g) is int for g in direct.elements)
+        # in int64, 6 * (2**61 + 1) would wrap below the engine's 2**62 bound
+        with pytest.raises(BoundExceededError):
+            NumericalSemigroup(direct).frobenius_number()
 
     def test_gcd_is_reported(self):
         for entry_point in (make_semigroup, oracle_frobenius):
