@@ -20,7 +20,6 @@ from .errors import DomainError
 from .families import (
     FAMILIES,
     apery_grouped_text,
-    classify,
     family_registry,
     frobenius_from_p,
     invariants_closed_form,
@@ -146,8 +145,8 @@ def _run_formula(args, parser, params: dict) -> tuple[object, str]:
                     f"S=<{','.join(str(g) for g in d.generators(args.k))}>\n"
                     f"F={inv.frobenius}, g={inv.genus}, PF={pf}, t={inv.type_}")
             if args.style == "paper":
-                text += "\nAp: " + apery_grouped_text(family_id, args.k)
                 result["apery_grouped"] = apery_grouped_text(family_id, args.k)
+                text += "\nAp: " + result["apery_grouped"]
         else:
             f_value = frobenius_from_p(p, d.pattern)
             result = {"family": family_id, "k": args.k, "p": p,
@@ -160,7 +159,6 @@ def _run_formula(args, parser, params: dict) -> tuple[object, str]:
     elif op == "from-p":
         pattern = _pattern_of(args.pattern, parser)
         params.update({"p": args.p, "pattern": _ints(pattern.offsets)})
-        family_id, k = classify(args.p, pattern)
         result = frobenius_from_p(args.p, pattern)
         text = str(result)
     else:  # list

@@ -5,6 +5,10 @@ residue class of the first generator p.  The triplet and quadruplet families
 (T1, T2, Q1, Q2) carry full Apéry index sets and polynomial invariants; the
 quintuplet through septuplet families carry the quadratic Frobenius formula
 in p and the tabulated type.
+
+Below a family's k_min (only Q1 at k = 0) the invariants and the grouped
+listing come from the Apéry engine.  The grouped listing derives its blocks
+from the Apéry set by one rule for every family (see apery_grouped).
 """
 
 from __future__ import annotations
@@ -16,7 +20,14 @@ from itertools import product
 
 import numpy as np
 
-from .core import APERY_MODULUS_LIMIT, AperySet, GeneratorSet, SemigroupInvariants
+from .core import (
+    APERY_MODULUS_LIMIT,
+    AperySet,
+    GeneratorSet,
+    NumericalSemigroup,
+    SemigroupInvariants,
+    make_semigroup,
+)
 from .errors import (
     BoundExceededError,
     KBelowMinimumError,
@@ -312,22 +323,6 @@ def _index_set_size(family_id: str, k: int) -> int:
     return total
 
 
-def _listed_family(family_id: str, k: int) -> FamilyDescriptor:
-    """The family, once its Apéry set at k is small enough to list.
-
-    A listing holds one entry per residue class of p(k), so p(k) above
-    core.APERY_MODULUS_LIMIT raises BoundExceededError before anything is
-    allocated, as the engine does.  Below it every listed value,
-    a sum of at most 2k + 4 generators, fits in int64.
-    """
-    d = _apery_family(family_id, k)
-    p = d.p_of_k(k)
-    if p > APERY_MODULUS_LIMIT:
-        raise BoundExceededError(
-            f"Apéry modulus {p} exceeds the listing limit {APERY_MODULUS_LIMIT}")
-    return d
-
-
 def apery_closed_form(family_id: str, k: int) -> AperySet:
     """Materialize the family's Apéry set at parameter k.
 
@@ -336,9 +331,17 @@ def apery_closed_form(family_id: str, k: int) -> AperySet:
     excluded combinations masked out; the values then fill the table by
     residue.  The index set must have exactly `modulus` members and hit
     every residue class once.
+
+    A listing holds one entry per residue class of p(k), so p(k) above
+    core.APERY_MODULUS_LIMIT raises BoundExceededError before anything is
+    allocated, as the engine does.  Below it every listed value,
+    a sum of at most 2k + 4 generators, fits in int64.
     """
-    gens = _listed_family(family_id, k).generators(k)
+    gens = _apery_family(family_id, k).generators(k)
     modulus = gens[0]
+    if modulus > APERY_MODULUS_LIMIT:
+        raise BoundExceededError(
+            f"Apéry modulus {modulus} exceeds the listing limit {APERY_MODULUS_LIMIT}")
     pieces = []
     for box, excluded in _index_pieces(family_id, k):
         values = sum(np.ix_(*(np.arange(r.start, r.stop, dtype=np.int64) * g
@@ -358,21 +361,27 @@ def apery_closed_form(family_id: str, k: int) -> AperySet:
     return AperySet(modulus, tuple(table.tolist()))
 
 
-# Q1 at k = 0, <5,7,11,13>, lies below Q1's k_min.  Two functions exempt it
-# from the k guard: its grouped listing follows the generic Q1 blocks, but its
-# invariants do not follow the polynomials and are hard-coded here (the
-# largest gap is 9, forced by the Apéry maximum 14 and by max(PF)).
-_Q1_K0 = ("Q1", 0)
-_Q1_K0_INVARIANTS = SemigroupInvariants(
-    frobenius=9, genus=7, pseudo_frobenius=(6, 8, 9), type_=3,
-    embedding_dimension=4, minimal_generators=GeneratorSet((5, 7, 11, 13)))
-_Q1_K0_APERY = AperySet(5, (0, 11, 7, 13, 14))
+def _engine_below_k_min(family_id: str, k: int) -> NumericalSemigroup | None:
+    """The Apéry engine's semigroup when the family's closed forms start above k.
+
+    Only families with an Apéry form and 0 <= k < k_min qualify (today Q1 at
+    k = 0, <5,7,11,13>); for every other (family, k) this returns None and the
+    closed forms, with their k guard, apply.
+    """
+    d = _family(family_id)
+    if d.has_apery_form and 0 <= k < d.k_min:
+        return make_semigroup(d.generators(k))
+    return None
 
 
 def invariants_closed_form(family_id: str, k: int) -> SemigroupInvariants:
-    """Frobenius number, genus, pseudo-Frobenius numbers, and type from the polynomials."""
-    if (family_id, k) == _Q1_K0:
-        return _Q1_K0_INVARIANTS
+    """Frobenius number, genus, pseudo-Frobenius numbers, and type from the polynomials.
+
+    Below the family's k_min the invariants come from the Apéry engine.
+    """
+    engine = _engine_below_k_min(family_id, k)
+    if engine is not None:
+        return engine.invariants()
     d = _apery_family(family_id, k)
     assert d.f_in_k and d.g_in_k and d.pf_in_k
     pf = tuple(sorted(_eval_poly(c, k) for c in d.pf_in_k))
@@ -414,31 +423,23 @@ def type_from_family(family_id: str, k: int) -> int:
 def apery_grouped(family_id: str, k: int) -> list[list[int]]:
     """Apéry elements in increasing order, grouped the way the closed form clusters them.
 
-    Rewriting the index-set elements against the largest generator yields
-    blocks of consecutive near-multiples; this returns those blocks.
+    Written against the largest generator n_k, the elements fall into blocks
+    of near-multiples m*n_k - delta.  Consecutive elements w < w' share a
+    block exactly when ceil(w/n_k) = ceil(w'/n_k) and w' - w is at most the
+    largest gap between consecutive offsets of the pattern.  The Apéry set
+    is apery_closed_form's, with its bound, or the engine's below k_min.
     """
-    if (family_id, k) != _Q1_K0:
-        _listed_family(family_id, k)
-    if family_id == "T1":
-        n2, n3 = 6 * k + 7, 6 * k + 11
-        groups = [[0], [n2, n3]]
-        groups += [[m * n3 - 8, m * n3 - 4, m * n3] for m in range(2, 2 * k + 2)]
-        groups.append([(2 * k + 2) * n3 - 8, (2 * k + 2) * n3 - 4])
-    elif family_id == "T2":
-        n2, n3 = 6 * k + 11, 6 * k + 13
-        groups = [[0], [n2, n3]]
-        groups += [[m * n3 - 4, m * n3 - 2, m * n3] for m in range(2, 2 * k + 3)]
-        groups.append([(2 * k + 3) * n3 - 2])
-    elif family_id == "Q1":
-        n2, n3, n4 = 4 * k + 7, 4 * k + 11, 4 * k + 13
-        groups = [[0], [n2, n3, n4], [2 * n2]]
-        groups += [[m * n4 - 6, m * n4 - 4, m * n4 - 2, m * n4] for m in range(2, k + 2)]
-    else:  # Q2
-        n2, n3, n4 = 4 * k + 9, 4 * k + 13, 4 * k + 15
-        groups = [[0], [n2, n3, n4], [2 * n2]]
-        groups += [[m * n4 - 6, m * n4 - 4, m * n4 - 2, m * n4] for m in range(2, k + 2)]
-        groups.append([(k + 2) * n4 - 6, (k + 2) * n4 - 4])
-    return groups
+    engine = _engine_below_k_min(family_id, k)
+    apery = engine.apery_set() if engine is not None else apery_closed_form(family_id, k)
+    d = FAMILIES[family_id]
+    n_k = d.generators(k)[-1]
+    offsets = d.pattern.offsets
+    max_gap = max(b - a for a, b in zip(offsets, offsets[1:]))
+    w = np.sort(np.array(apery.table, dtype=np.int64))
+    starts = (np.diff(-(-w // n_k)) != 0) | (np.diff(w) > max_gap)
+    cuts = [0, *(np.flatnonzero(starts) + 1).tolist(), w.size]
+    values = w.tolist()
+    return [values[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
 
 
 def apery_grouped_text(family_id: str, k: int) -> str:

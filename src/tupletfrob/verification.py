@@ -8,7 +8,6 @@ conjecture fitter recovers F(p) quadratics with exact rational arithmetic.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,7 +23,6 @@ from .families import (
     frobenius_from_p,
     invariants_closed_form,
     type_from_family,
-    _Q1_K0_APERY,
     _family,
 )
 from .tuplets import OffsetPattern, is_prime
@@ -48,8 +46,6 @@ DEFAULT_BOUND_LIMIT = 10 ** 9
 SWEEP_ORACLE_LIMIT = 10 ** 8
 # A word of the oracle's table whose 64 cells are all reachable.
 _ALL_ONES = (1 << 64) - 1
-
-THREADS_ENV_VAR = "TUPLETFROB_THREADS"
 
 
 @dataclass(frozen=True)
@@ -208,15 +204,13 @@ def _check_k(family_id: str, k: int) -> SweepEntry:
         if closed != engine:
             mismatch[name] = {"closed": _jsonable(closed), "engine": _jsonable(engine)}
 
-    if d.has_apery_form:
+    if d.has_apery_form and k >= d.k_min:
         inv = invariants_closed_form(family_id, k)
         compare("frobenius", inv.frobenius, engine_f)
         compare("genus", inv.genus, engine_g)
         compare("pseudo_frobenius", inv.pseudo_frobenius, engine_pf)
         compare("type", inv.type_, len(engine_pf))
-        closed_apery = (apery_closed_form(family_id, k) if k >= d.k_min
-                        else _Q1_K0_APERY)
-        compare("apery", closed_apery.table, semigroup.apery_set().table)
+        compare("apery", apery_closed_form(family_id, k).table, semigroup.apery_set().table)
     else:
         if k >= d.f_k_min:
             compare("frobenius", frobenius_from_p(d.p_of_k(k), d.pattern), engine_f)
@@ -243,24 +237,15 @@ def sweep_family(family_id: str, k_lo: int, k_hi: int, *,
                  workers: int | None = None) -> SweepReport:
     """Compare closed forms, the Apéry engine, and the oracle over a k range.
 
-    Per-k checks are independent; the worker count comes from the
-    TUPLETFROB_THREADS environment variable unless given explicitly, and the
-    report is ordered by k either way.
+    Rows are checked serially, in order of k.  A row takes a few
+    milliseconds, and a thread pool made sweeps slower, so `workers` is
+    ignored; it stays only because the sweep benchmark still passes it.
     """
     _family(family_id)
     if k_lo < 0 or k_hi < k_lo:
         raise ValueError(f"need 0 <= k_lo <= k_hi for family {family_id}")
     start = time.perf_counter()
-    ks = range(k_lo, k_hi + 1)
-    if workers is None:
-        workers = int(os.environ.get(THREADS_ENV_VAR, "1") or "1")
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            entries = tuple(pool.map(lambda k: _check_k(family_id, k), ks))
-    else:
-        entries = tuple(_check_k(family_id, k) for k in ks)
+    entries = tuple(_check_k(family_id, k) for k in range(k_lo, k_hi + 1))
     return SweepReport(family_id, k_lo, k_hi, entries, time.perf_counter() - start)
 
 

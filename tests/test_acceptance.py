@@ -112,7 +112,7 @@ def test_criterion_3_family_sweeps():
     with criterion(3, "closed forms equal engine and oracle across the k sweeps"):
         start = time.perf_counter()
         for fid, k_lo in (("T1", 0), ("T2", 0), ("Q1", 1), ("Q2", 0)):
-            report = sweep_family(fid, k_lo, 200, workers=1)
+            report = sweep_family(fid, k_lo, 200)
             assert report.all_match, (fid, report.mismatches[:3])
         assert time.perf_counter() - start < 60
 

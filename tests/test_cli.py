@@ -170,6 +170,20 @@ class TestFormulaGroup:
                            "--style", "paper")
         assert "Ap: 0; 13, 17; 26, 30, 34; 43, 47, 51; 60, 64" in out
 
+    @pytest.mark.parametrize("fmt", ["txt", "json"])
+    @pytest.mark.parametrize("family, k, style", [
+        *((family, k, "paper") for family in ("T1", "T2", "Q1", "Q2") for k in (0, 1, 2, 7, 30)),
+        ("Q1", 0, "flat"),
+    ])
+    def test_eval_stdout_is_byte_identical(self, capsys, family, k, style, fmt):
+        argv = ["formula", "eval", "--family", family, "--k", str(k), "--style", style]
+        if fmt == "json":
+            argv += ["--format", "json"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        suffix = "_paper" if style == "paper" else ""
+        assert out.encode() == (GOLDEN / f"eval_{family}_{k}{suffix}.{fmt}").read_bytes()
+
     def test_eval_paper_style_above_listing_limit_exits_1_at_once(self):
         argv = ("formula", "eval", "--family", "T1", "--k", "100000000")
         code, payload = run_process(*argv, "--style", "paper", timeout=30)

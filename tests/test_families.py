@@ -197,8 +197,8 @@ class TestInvariantsClosedForm:
         assert inv.pseudo_frobenius == (105, 2618, 2620, 2622, 2624)
 
     def test_q1_small_case(self):
-        # the generic polynomials do not apply at k=0; hard-coded values,
-        # with the largest gap 9 forced by max(PF)
+        # the generic polynomials do not apply at k=0; the values come from
+        # the Apéry engine, with the largest gap 9 forced by max(PF)
         inv = invariants_closed_form("Q1", 0)
         assert (inv.frobenius, inv.genus, inv.type_) == (9, 7, 3)
         assert inv.pseudo_frobenius == (6, 8, 9)
@@ -317,6 +317,16 @@ class TestGroupedListing:
             if source is not None:
                 assert tuple(flat) == source.elements
     # Q1 k=0 grouped listing is covered by the golden string above
+
+    @pytest.mark.parametrize("fid, shape", [
+        ("T1", lambda k: [1, 2] + [3] * (2 * k) + [2]),
+        ("T2", lambda k: [1, 2] + [3] * (2 * k + 1) + [1]),
+        ("Q1", lambda k: [1, 3, 1] + [4] * k),
+        ("Q2", lambda k: [1, 3, 1] + [4] * k + [2]),
+    ])
+    def test_block_sizes(self, fid, shape):
+        for k in range(FAMILIES[fid].k_min, 401):
+            assert [len(block) for block in apery_grouped(fid, k)] == shape(k), k
 
 
 class TestRegistry:

@@ -228,6 +228,16 @@ class TestSweep:
     def test_q1_with_special_case(self):
         report = sweep_family("Q1", 0, 25)
         assert report.all_match
+        # k = 0 lies below Q1's thresholds, so its row reports what it observed
+        assert report.entries[0].detail == {"observed_frobenius": 9, "observed_type": 3}
+
+    def test_closed_forms_checked_from_k_min(self, monkeypatch):
+        checked = []
+        real = verification.apery_closed_form
+        monkeypatch.setattr(verification, "apery_closed_form",
+                            lambda fid, k: checked.append(k) or real(fid, k))
+        assert sweep_family("Q1", 0, 5).all_match
+        assert checked == [1, 2, 3, 4, 5]
 
     def test_wide_family(self):
         report = sweep_family("Quin1", 0, 6)
@@ -253,15 +263,11 @@ class TestSweep:
             sweep_family("T1", -1, 3)
 
     def test_workers_deterministic(self):
-        serial = sweep_family("T1", 0, 20, workers=1)
-        threaded = sweep_family("T1", 0, 20, workers=4)
-        assert serial.to_json_dict(include_timing=False) == \
-            threaded.to_json_dict(include_timing=False)
-
-    def test_env_var_worker_count(self, monkeypatch):
-        monkeypatch.setenv("TUPLETFROB_THREADS", "3")
-        report = sweep_family("Q2", 0, 12)
-        assert report.all_match
+        # the keyword is accepted and ignored: sweeps always run serially
+        default = sweep_family("T1", 0, 20)
+        given = sweep_family("T1", 0, 20, workers=4)
+        assert default.to_json_dict(include_timing=False) == \
+            given.to_json_dict(include_timing=False)
 
 
 class TestQuadraticThrough:
