@@ -13,7 +13,7 @@ from tupletfrob import FAMILIES, OffsetPattern, fit_conjecture, oracle_frobenius
 print("=== refitting the registered families from samples ===")
 for fid, d in FAMILIES.items():
     fit = fit_conjecture(d.pattern, d.p_modulus, d.p_residue,
-                         max_p=d.p_of_k(d.f_k_min + 7), min_p=d.p_of_k(d.f_k_min))
+                         max_p=d.p_of_k(d.k_min + 7), min_p=d.p_of_k(d.k_min))
     poly = fit.poly
     print(f"{fid:6s} F(p) = ({poly.a2})p^2 + ({poly.a1})p + ({poly.a0})  "
           f"exact={fit.exact}  a2 == 2/q: {fit.a2_equals_2_over_q}")

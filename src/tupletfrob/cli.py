@@ -91,6 +91,8 @@ def _run_tuplets(args, parser, params: dict) -> tuple[object, str]:
     op = args.tuplets_op
     if op == "find":
         pattern = _pattern_of(args.pattern, parser)
+        if args.lo > args.hi:
+            parser.error(f"--from {args.lo} must not exceed --to {args.hi}")
         params.update({"pattern": _ints(pattern.offsets), "from": args.lo, "to": args.hi,
                        "consecutive": args.consecutive})
         found = find_tuplets(pattern, args.lo, args.hi, args.consecutive,
@@ -176,8 +178,8 @@ def _run_formula(args, parser, params: dict) -> tuple[object, str]:
 
 def _parse_k_range(text: str, parser) -> tuple[int, int]:
     m = _K_RANGE.match(text)
-    if not m:
-        parser.error(f"--k-range must look like LO..HI, got {text!r}")
+    if not m or int(m.group(1)) > int(m.group(2)):
+        parser.error(f"--k-range must look like LO..HI with LO <= HI, got {text!r}")
     return int(m.group(1)), int(m.group(2))
 
 
@@ -205,7 +207,7 @@ def _run_verify(args, parser, params: dict) -> tuple[object, str]:
                              "matches exactly one registered family")
             d = registered[0]
             modulus, residue = d.p_modulus, d.p_residue
-            min_p = args.min_p if args.min_p is not None else d.p_of_k(d.f_k_min)
+            min_p = args.min_p if args.min_p is not None else d.p_of_k(d.k_min)
         else:
             modulus, residue = args.modulus, args.residue
             min_p = args.min_p

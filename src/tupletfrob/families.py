@@ -1,10 +1,10 @@
 """Closed forms for the constellation semigroup families.
 
 Twelve parametric families are registered, keyed by offset pattern and the
-residue class of the first generator p.  The triplet and quadruplet families
-(T1, T2, Q1, Q2) carry full Apéry index sets and polynomial invariants; the
-quintuplet through septuplet families carry the quadratic Frobenius formula
-in p and the tabulated type.
+residue class of the first generator p.  Each carries its Frobenius number
+as a quadratic F(p) and its tabulated type; the triplet and quadruplet
+families (T1, T2, Q1, Q2) also carry Apéry index sets and the genus and
+pseudo-Frobenius polynomials in k.  F in k is always F(p) at p = p(k).
 
 Below a family's k_min (only Q1 at k = 0) the invariants and the grouped
 listing come from the Apéry engine.  The grouped listing derives its blocks
@@ -100,18 +100,17 @@ class FamilyDescriptor:
     pattern: OffsetPattern
     p_modulus: int
     p_residue: int
-    k_min: int                      # validity of the Apéry index set / invariant polynomials
-    f_from_p: QuadraticPoly
-    f_k_min: int                    # validity of f_from_p
+    k_min: int                      # F(p) and, with an Apéry form, the index set
+                                    # and invariant polynomials hold from here
+    f_from_p: QuadraticPoly         # F in k too, at p = p_of_k(k)
     type_value: int
     type_k_min: int                 # validity of type_value
-    f_in_k: tuple[int, int, int] | None = None
-    g_in_k: tuple[int, int, int] | None = None
+    g_in_k: tuple[int, int, int] | None = None  # (c2, c1, c0); None: no Apéry form
     pf_in_k: tuple[tuple[int, int, int], ...] | None = None
 
     @property
     def has_apery_form(self) -> bool:
-        return self.f_in_k is not None
+        return self.pf_in_k is not None
 
     def p_of_k(self, k: int) -> int:
         return self.p_modulus * k + self.p_residue
@@ -128,48 +127,44 @@ def _q(num: int, den: int = 1) -> Fraction:
 FAMILIES: dict[str, FamilyDescriptor] = {d.id: d for d in (
     FamilyDescriptor(
         "T1", OffsetPattern((0, 2, 6)), 6, 5, 0,
-        QuadraticPoly(_q(1, 3), _q(4, 3), _q(-2)), 0, 2, 0,
-        f_in_k=(12, 28, 13), g_in_k=(6, 16, 8),
-        pf_in_k=((12, 28, 9), (12, 28, 13))),
+        QuadraticPoly(_q(1, 3), _q(4, 3), _q(-2)), 2, 0,
+        g_in_k=(6, 16, 8), pf_in_k=((12, 28, 9), (12, 28, 13))),
     FamilyDescriptor(
         "T2", OffsetPattern((0, 4, 6)), 6, 7, 0,
-        QuadraticPoly(_q(1, 3), _q(5, 3), _q(2)), 0, 2, 0,
-        f_in_k=(12, 38, 30), g_in_k=(6, 20, 16),
-        pf_in_k=((12, 32, 15), (12, 38, 30))),
+        QuadraticPoly(_q(1, 3), _q(5, 3), _q(2)), 2, 0,
+        g_in_k=(6, 20, 16), pf_in_k=((12, 32, 15), (12, 38, 30))),
     FamilyDescriptor(
         "Q1", OffsetPattern((0, 2, 6, 8)), 4, 5, 1,
-        QuadraticPoly(_q(1, 4), _q(3, 4), _q(-2)), 1, 5, 1,
-        f_in_k=(4, 13, 8), g_in_k=(2, 8, 7),
-        pf_in_k=((0, 4, 9), (4, 13, 2), (4, 13, 4), (4, 13, 6), (4, 13, 8))),
+        QuadraticPoly(_q(1, 4), _q(3, 4), _q(-2)), 5, 1,
+        g_in_k=(2, 8, 7), pf_in_k=((0, 4, 9), (4, 13, 2), (4, 13, 4), (4, 13, 6), (4, 13, 8))),
     FamilyDescriptor(
         "Q2", OffsetPattern((0, 2, 6, 8)), 4, 7, 0,
-        QuadraticPoly(_q(1, 4), _q(5, 4), _q(-2)), 0, 3, 0,
-        f_in_k=(4, 19, 19), g_in_k=(2, 10, 12),
-        pf_in_k=((0, 4, 11), (4, 19, 17), (4, 19, 19))),
+        QuadraticPoly(_q(1, 4), _q(5, 4), _q(-2)), 3, 0,
+        g_in_k=(2, 10, 12), pf_in_k=((0, 4, 11), (4, 19, 17), (4, 19, 19))),
     FamilyDescriptor(
         "Quin1", OffsetPattern((0, 2, 6, 8, 12)), 30, 11, 0,
-        QuadraticPoly(_q(1, 6), _q(7, 6), _q(-2)), 0, 6, 0),
+        QuadraticPoly(_q(1, 6), _q(7, 6), _q(-2)), 6, 0),
     FamilyDescriptor(
         "Quin2", OffsetPattern((0, 4, 6, 10, 12)), 30, 7, 0,
-        QuadraticPoly(_q(1, 6), _q(11, 6), _q(2)), 0, 4, 1),
+        QuadraticPoly(_q(1, 6), _q(11, 6), _q(2)), 4, 1),
     FamilyDescriptor(
         "Sex7", OffsetPattern((0, 4, 6, 10, 12, 16)), 120, 7, 0,
-        QuadraticPoly(_q(1, 8), _q(9, 8), _q(2)), 0, 9, 1),
+        QuadraticPoly(_q(1, 8), _q(9, 8), _q(2)), 9, 1),
     FamilyDescriptor(
         "Sex37", OffsetPattern((0, 4, 6, 10, 12, 16)), 120, 37, 0,
-        QuadraticPoly(_q(1, 8), _q(11, 8), _q(2)), 0, 7, 0),
+        QuadraticPoly(_q(1, 8), _q(11, 8), _q(2)), 7, 0),
     FamilyDescriptor(
         "Sex67", OffsetPattern((0, 4, 6, 10, 12, 16)), 120, 67, 0,
-        QuadraticPoly(_q(1, 8), _q(13, 8), _q(2)), 0, 5, 0),
+        QuadraticPoly(_q(1, 8), _q(13, 8), _q(2)), 5, 0),
     FamilyDescriptor(
         "Sex97", OffsetPattern((0, 4, 6, 10, 12, 16)), 120, 97, 0,
-        QuadraticPoly(_q(1, 8), _q(15, 8), _q(2)), 0, 5, 0),
+        QuadraticPoly(_q(1, 8), _q(15, 8), _q(2)), 5, 0),
     FamilyDescriptor(
         "Sep1", OffsetPattern((0, 2, 6, 8, 12, 18, 20)), 30, 11, 1,
-        QuadraticPoly(_q(1, 10), _q(9, 10), _q(-2)), 1, 13, 1),
+        QuadraticPoly(_q(1, 10), _q(9, 10), _q(-2)), 13, 1),
     FamilyDescriptor(
         "Sep2", OffsetPattern((0, 2, 8, 12, 14, 18, 20)), 30, 29, 0,
-        QuadraticPoly(_q(1, 10), _q(11, 10), _q(-2)), 0, 11, 0),
+        QuadraticPoly(_q(1, 10), _q(11, 10), _q(-2)), 11, 0),
 )}
 
 
@@ -215,8 +210,7 @@ def classify_tuplet(tuplet: PrimeTuplet) -> tuple[str, int]:
 
 # --- generator identities backing the index sets ---------------------------
 
-def _identities_t1(k: int) -> list[tuple[int, int]]:
-    n1, n2, n3 = 6 * k + 5, 6 * k + 7, 6 * k + 11
+def _identities_t1(k: int, n1: int, n2: int, n3: int) -> list[tuple[int, int]]:
     return [
         (3 * n2, 2 * n1 + n3),
         ((2 * k + 2) * n3, (2 * k + 3) * n1 + n2),
@@ -224,8 +218,7 @@ def _identities_t1(k: int) -> list[tuple[int, int]]:
     ]
 
 
-def _identities_t2(k: int) -> list[tuple[int, int]]:
-    n1, n2, n3 = 6 * k + 7, 6 * k + 11, 6 * k + 13
+def _identities_t2(k: int, n1: int, n2: int, n3: int) -> list[tuple[int, int]]:
     return [
         (3 * n2, n1 + 2 * n3),
         ((2 * k + 3) * n3, (2 * k + 4) * n1 + n2),
@@ -233,8 +226,7 @@ def _identities_t2(k: int) -> list[tuple[int, int]]:
     ]
 
 
-def _identities_q1(k: int) -> list[tuple[int, int]]:
-    n1, n2, n3, n4 = 4 * k + 5, 4 * k + 7, 4 * k + 11, 4 * k + 13
+def _identities_q1(k: int, n1: int, n2: int, n3: int, n4: int) -> list[tuple[int, int]]:
     return [
         (3 * n2, 2 * n1 + n3),
         (3 * n3, n2 + 2 * n4),
@@ -247,8 +239,7 @@ def _identities_q1(k: int) -> list[tuple[int, int]]:
     ]
 
 
-def _identities_q2(k: int) -> list[tuple[int, int]]:
-    n1, n2, n3, n4 = 4 * k + 7, 4 * k + 9, 4 * k + 13, 4 * k + 15
+def _identities_q2(k: int, n1: int, n2: int, n3: int, n4: int) -> list[tuple[int, int]]:
     return [
         (3 * n2, 2 * n1 + n3),
         (3 * n3, n2 + 2 * n4),
@@ -269,8 +260,8 @@ _IDENTITIES = {
 
 def lemma_identities(family_id: str, k: int) -> bool:
     """Evaluate both sides of every generator identity of the family at k."""
-    _apery_family(family_id, k)
-    return all(lhs == rhs for lhs, rhs in _IDENTITIES[family_id](k))
+    gens = _apery_family(family_id, k).generators(k)
+    return all(lhs == rhs for lhs, rhs in _IDENTITIES[family_id](k, *gens))
 
 
 # --- Apéry index sets -------------------------------------------------------
@@ -375,7 +366,7 @@ def _engine_below_k_min(family_id: str, k: int) -> NumericalSemigroup | None:
 
 
 def invariants_closed_form(family_id: str, k: int) -> SemigroupInvariants:
-    """Frobenius number, genus, pseudo-Frobenius numbers, and type from the polynomials.
+    """F from F(p) at p(k); genus, pseudo-Frobenius numbers and type from polynomials in k.
 
     Below the family's k_min the invariants come from the Apéry engine.
     """
@@ -383,11 +374,11 @@ def invariants_closed_form(family_id: str, k: int) -> SemigroupInvariants:
     if engine is not None:
         return engine.invariants()
     d = _apery_family(family_id, k)
-    assert d.f_in_k and d.g_in_k and d.pf_in_k
+    assert d.g_in_k and d.pf_in_k
     pf = tuple(sorted(_eval_poly(c, k) for c in d.pf_in_k))
     gens = d.generators(k)
     return SemigroupInvariants(
-        frobenius=_eval_poly(d.f_in_k, k),
+        frobenius=d.f_from_p.eval_int(d.p_of_k(k)),
         genus=_eval_poly(d.g_in_k, k),
         pseudo_frobenius=pf,
         type_=len(pf),
@@ -403,9 +394,9 @@ def frobenius_from_p(p: int, pattern: OffsetPattern) -> int:
     """
     family_id, k = classify(p, pattern)
     d = FAMILIES[family_id]
-    if k < d.f_k_min:
+    if k < d.k_min:
         raise KBelowMinimumError(
-            f"the {family_id} quadratic needs p >= {d.p_of_k(d.f_k_min)}, got p={p}")
+            f"the {family_id} quadratic needs p >= {d.p_of_k(d.k_min)}, got p={p}")
     return d.f_from_p.eval_int(p)
 
 
@@ -452,6 +443,9 @@ def family_registry() -> list[dict]:
     """JSON-ready rows describing every registered family."""
     rows = []
     for d in FAMILIES.values():
+        f = d.f_from_p.compose_linear(d.p_modulus, d.p_residue)
+        if d.has_apery_form and any(c.denominator != 1 for c in (f.a2, f.a1, f.a0)):
+            raise ArithmeticError(f"{d.id}: F(p) is not integral in k")
         rows.append({
             "id": d.id,
             "pattern": list(d.pattern.offsets),
@@ -459,10 +453,10 @@ def family_registry() -> list[dict]:
             "p_residue": d.p_residue,
             "k_min": d.k_min,
             "frobenius_in_p": d.f_from_p.as_json(),
-            "frobenius_in_p_k_min": d.f_k_min,
+            "frobenius_in_p_k_min": d.k_min,
             "type": d.type_value,
             "type_k_min": d.type_k_min,
-            "frobenius_in_k": list(d.f_in_k) if d.f_in_k else None,
+            "frobenius_in_k": [int(c) for c in (f.a2, f.a1, f.a0)] if d.has_apery_form else None,
             "genus_in_k": list(d.g_in_k) if d.g_in_k else None,
             "pseudo_frobenius_in_k": [list(c) for c in d.pf_in_k] if d.pf_in_k else None,
         })

@@ -86,15 +86,14 @@ class AdmissibilityReport:
 
 
 def _primes_up_to(n: int) -> np.ndarray:
-    """All primes <= n, ascending, as an int64 array."""
+    """All primes <= n, ascending, as an int64 array.
+
+    _sieve_flags sieves [2, n] with the primes up to isqrt(n), found the same way.
+    """
     if n < 2:
         return np.empty(0, dtype=np.int64)
-    flags = np.ones(n + 1, dtype=bool)
-    flags[:2] = False
-    for p in range(2, math.isqrt(n) + 1):
-        if flags[p]:
-            flags[p * p::p] = False
-    return np.flatnonzero(flags).astype(np.int64, copy=False)
+    flags = _sieve_flags(2, n, _primes_up_to(math.isqrt(n)))
+    return (np.flatnonzero(flags) + 2).astype(np.int64, copy=False)
 
 
 def is_admissible(pattern: OffsetPattern) -> AdmissibilityReport:

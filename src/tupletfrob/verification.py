@@ -212,7 +212,7 @@ def _check_k(family_id: str, k: int) -> SweepEntry:
         compare("type", inv.type_, len(engine_pf))
         compare("apery", apery_closed_form(family_id, k).table, semigroup.apery_set().table)
     else:
-        if k >= d.f_k_min:
+        if k >= d.k_min:
             compare("frobenius", frobenius_from_p(d.p_of_k(k), d.pattern), engine_f)
         else:
             info["observed_frobenius"] = engine_f

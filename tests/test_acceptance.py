@@ -147,7 +147,7 @@ def test_criterion_4_spot_checks_below_one_million(census):
             semigroup = make_semigroup(gens)
             engine_f = semigroup.frobenius_number()
             engine_type = semigroup.type()
-            if k >= d.f_k_min:
+            if k >= d.k_min:
                 assert frobenius_from_p(tuplet.p, tuplet.pattern) == engine_f, tuplet
                 checked_f += 1
             else:
@@ -197,8 +197,8 @@ def test_criterion_6_conjecture_fits():
     with criterion(6, "exact quadratic recovery of every F(p) formula"):
         for fid, d in FAMILIES.items():
             fit = fit_conjecture(d.pattern, d.p_modulus, d.p_residue,
-                                 max_p=d.p_of_k(d.f_k_min + 7),
-                                 min_p=d.p_of_k(d.f_k_min))
+                                 max_p=d.p_of_k(d.k_min + 7),
+                                 min_p=d.p_of_k(d.k_min))
             assert fit.exact, fid
             assert fit.poly == d.f_from_p, fid
             assert fit.poly.a2 == Fraction(2, d.pattern.diameter), fid

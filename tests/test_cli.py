@@ -137,6 +137,13 @@ class TestTupletsGroup:
             assert payload["params"] == {"pattern": pattern, "from": height, "to": height,
                                          "consecutive": True}
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_find_reversed_range_is_usage_error(self, capsys, fmt):
+        code, out, err = run(capsys, "tuplets", "find", "--pattern", "0,2,6",
+                             "--from", "20", "--to", "5", "--format", fmt)
+        assert code == 2 and out == ""
+        assert "--from" in err and "Traceback" not in err
+
     def test_find_inadmissible_is_domain_error(self, capsys):
         code, _, err = run(capsys, "tuplets", "find", "--pattern", "0,2,4",
                            "--from", "1", "--to", "100")
@@ -219,6 +226,13 @@ class TestFormulaGroup:
             ["T1", "T2", "Q1", "Q2", "Quin1", "Quin2",
              "Sex7", "Sex37", "Sex67", "Sex97", "Sep1", "Sep2"]
 
+    @pytest.mark.parametrize("fmt", ["txt", "json"])
+    def test_list_stdout_is_byte_identical(self, capsys, fmt):
+        argv = ["formula", "list"] + (["--format", "json"] if fmt == "json" else [])
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out.encode() == (GOLDEN / f"list.{fmt}").read_bytes()
+
 
 class TestVerifyGroup:
     def test_sweep(self, capsys):
@@ -234,6 +248,13 @@ class TestVerifyGroup:
     def test_sweep_bad_range(self, capsys):
         code, _, err = run(capsys, "verify", "sweep", "--family", "T1", "--k-range", "5-3")
         assert code == 2
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_sweep_reversed_range_is_usage_error(self, capsys, fmt):
+        code, out, err = run(capsys, "verify", "sweep", "--family", "Q1",
+                             "--k-range", "5..3", "--format", fmt)
+        assert code == 2 and out == ""
+        assert "--k-range" in err and "Traceback" not in err
 
     def test_conjecture(self, capsys):
         code, out, _ = run(capsys, "verify", "conjecture", "--pattern", "0,2,6",

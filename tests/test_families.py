@@ -248,7 +248,7 @@ class TestFrobeniusFromP:
     @pytest.mark.parametrize("fid", FAMILIES)
     def test_matches_engine_at_scale(self, fid):
         d = FAMILIES[fid]
-        for k in range(d.f_k_min, d.f_k_min + 12):
+        for k in range(d.k_min, d.k_min + 12):
             p = d.p_of_k(k)
             assert frobenius_from_p(p, d.pattern) == \
                 make_semigroup(d.generators(k)).frobenius_number()
@@ -279,13 +279,21 @@ class TestTypeFromFamily:
             assert make_semigroup(d.generators(0)).type() != d.type_value
 
 
+# F in k as the paper prints it, (c2, c1, c0) for c2*k**2 + c1*k + c0
+PAPER_F_IN_K = {"T1": (12, 28, 13), "T2": (12, 38, 30), "Q1": (4, 13, 8), "Q2": (4, 19, 19)}
+
+
 class TestPolynomialCoherence:
     @pytest.mark.parametrize("fid", APERY_FAMILIES)
-    def test_p_and_k_polynomials_agree(self, fid):
+    def test_frobenius_in_k_matches_the_paper(self, fid):
         d = FAMILIES[fid]
         in_k = d.f_from_p.compose_linear(d.p_modulus, d.p_residue)
-        c2, c1, c0 = d.f_in_k
-        assert (in_k.a2, in_k.a1, in_k.a0) == (Fraction(c2), Fraction(c1), Fraction(c0))
+        assert (in_k.a2, in_k.a1, in_k.a0) == tuple(map(Fraction, PAPER_F_IN_K[fid]))
+        # the largest pseudo-Frobenius number is F
+        assert max(d.pf_in_k) == PAPER_F_IN_K[fid]
+        # the rows state the type twice: as a value and as the count of PF polynomials
+        assert d.type_value == len(d.pf_in_k)
+        assert d.type_k_min == d.k_min
 
     @pytest.mark.parametrize("fid", FAMILIES)
     def test_leading_coefficient_is_2_over_diameter(self, fid):
@@ -295,7 +303,7 @@ class TestPolynomialCoherence:
     @pytest.mark.parametrize("fid", FAMILIES)
     def test_integrality_on_the_class(self, fid):
         d = FAMILIES[fid]
-        for k in range(d.f_k_min, d.f_k_min + 25):
+        for k in range(d.k_min, d.k_min + 25):
             assert d.f_from_p(d.p_of_k(k)).denominator == 1
 
 

@@ -4,6 +4,7 @@ import random
 import tracemalloc
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from tupletfrob import (
@@ -290,3 +291,11 @@ class TestPrimesUpTo:
         assert _primes_up_to(1).tolist() == []
         assert _primes_up_to(2).tolist() == [2]
         assert _primes_up_to(30).tolist() == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+
+    @pytest.mark.parametrize("n", [48, 49, 50, 120, 121, 122, 168, 169, 170])
+    def test_prime_square_edges(self, n):
+        # n = q^2 - 1, q^2, q^2 + 1 for q = 7, 11, 13: the top of the window
+        # sits on, just below or just above the square a base prime starts at
+        primes = _primes_up_to(n)
+        assert primes.dtype == np.int64
+        assert primes.tolist() == [m for m in range(n + 1) if is_prime(m)]

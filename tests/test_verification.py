@@ -286,7 +286,7 @@ class TestFitConjecture:
     def test_recovers_registered_polynomials(self, fid):
         d = FAMILIES[fid]
         fit = fit_conjecture(d.pattern, d.p_modulus, d.p_residue,
-                             max_p=d.p_of_k(d.f_k_min + 7), min_p=d.p_of_k(d.f_k_min))
+                             max_p=d.p_of_k(d.k_min + 7), min_p=d.p_of_k(d.k_min))
         assert fit.exact
         assert fit.poly == d.f_from_p
         assert fit.a2_equals_2_over_q and fit.a0_integer
