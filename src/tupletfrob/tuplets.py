@@ -39,8 +39,8 @@ SIEVE_HEIGHT_LIMIT = 10 ** 16
 _SEGMENT_LENGTH = 1 << 18
 # find_tuplets also refuses patterns wider than this.  A segment buffer holds
 # 2^18 + diameter numbers: one byte of flags each, plus 8 bytes each for the
-# int64 cumsum of the consecutive test and 8 more for its concatenate copy,
-# so at the limit a segment peaks near 17 * 1.26e6 bytes, about 21 MB.
+# int64 cumsum of the consecutive test, so at the limit a segment peaks near
+# 9 * 1.26e6 bytes, about 11 MB, plus 2 MB for the span-long difference.
 SIEVE_DIAMETER_LIMIT = 10 ** 6
 
 
@@ -241,9 +241,10 @@ def find_tuplets(
         for b in offsets[1:]:
             hits &= flags[b:b + span]
         if require_consecutive:
-            # the k pattern primes are then the only primes in [p, p + diameter]
-            primes_before = np.concatenate(([0], np.cumsum(flags)))
-            hits &= primes_before[diam + 1:diam + 1 + span] - primes_before[:span] == len(offsets)
+            # p is prime, so the other k - 1 pattern primes must be the only
+            # primes in (p, p + diameter]
+            c = np.cumsum(flags)
+            hits &= c[diam:diam + span] - c[:span] == len(offsets) - 1
         out.extend(PrimeTuplet(seg_lo + i, pattern) for i in np.flatnonzero(hits).tolist())
         seg_lo = seg_hi + 1
     return out

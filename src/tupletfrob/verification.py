@@ -8,13 +8,14 @@ conjecture fitter recovers F(p) quadratics with exact rational arithmetic.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .core import make_semigroup, validate_generators
+from .core import APERY_MODULUS_LIMIT, make_semigroup, validate_generators
 from .errors import BoundExceededError, DomainError, InsufficientSamplesError
 from .families import (
     FAMILIES,
@@ -25,7 +26,7 @@ from .families import (
     type_from_family,
     _family,
 )
-from .tuplets import OffsetPattern, is_prime
+from .tuplets import OffsetPattern, is_admissible, is_prime
 
 __all__ = [
     "ConjectureFit",
@@ -170,17 +171,15 @@ class SweepReport:
     def mismatches(self) -> tuple[SweepEntry, ...]:
         return tuple(e for e in self.entries if e.status != "match")
 
-    def to_json_dict(self, include_timing: bool = True) -> dict:
-        out = {
+    def to_json_dict(self) -> dict:
+        # wall_time_s stays out, so identical sweeps serialise identically
+        return {
             "family": self.family,
             "k_lo": self.k_lo,
             "k_hi": self.k_hi,
             "all_match": self.all_match,
             "entries": [e.to_json_dict() for e in self.entries],
         }
-        if include_timing:
-            out["wall_time_s"] = round(self.wall_time_s, 3)
-        return out
 
 
 def _jsonable(value):
@@ -296,15 +295,25 @@ def fit_conjecture(pattern: OffsetPattern, p_modulus: int, p_residue: int, *,
     fit is exact only if every remaining sample lands on it (at least four
     samples are required).  F values come from the Apéry engine, which shares
     nothing with the family formula tables.  With primes_only, only p whose
-    whole pattern lands on primes are sampled.
+    whole pattern lands on primes are sampled.  A candidate p above
+    core.APERY_MODULUS_LIMIT, which the engine would refuse as multiplicity,
+    raises BoundExceededError before it is tested.
     """
     if p_modulus < 1:
         raise DomainError(f"p_modulus must be at least 1, got {p_modulus}")
     if min_p is None:
         min_p = p_residue
+    if primes_only and (not is_admissible(pattern).admissible or
+                        any(math.gcd(p_residue + b, p_modulus) > 1 for b in pattern.offsets)):
+        # some p + b of the class is then always a multiple of one prime
+        # q <= max(p_modulus, k), so an instance has p + b = q: none lies higher
+        max_p = min(max_p, max(p_modulus, pattern.size))
     p = min_p + (p_residue - min_p) % p_modulus
     ps = []
     while p <= max_p and len(ps) < max_samples:
+        if p > APERY_MODULUS_LIMIT:
+            raise BoundExceededError(
+                f"Apéry modulus {p} exceeds the engine limit {APERY_MODULUS_LIMIT}")
         if p >= 1 and (not primes_only or all(is_prime(p + b) for b in pattern.offsets)):
             ps.append(p)
         p += p_modulus

@@ -2,7 +2,9 @@
 
 import json
 import os
+import re
 import resource
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +16,7 @@ from tupletfrob.cli import main
 
 SRC = str(Path(tupletfrob.__file__).resolve().parents[1])
 GOLDEN = Path(__file__).resolve().parent / "golden"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(capsys, *argv):
@@ -284,6 +287,24 @@ class TestVerifyGroup:
         assert payload["error"]["type"] == "DomainError"
         assert payload["params"]["p_modulus"] == -6
 
+    def test_conjecture_primes_only_in_a_blocked_class_ends_at_once(self):
+        # every p = 3 mod 6 is a multiple of 3, so only p = 3 has a prime triple
+        code, payload = run_process("verify", "conjecture", "--pattern", "0,2,4",
+                                    "--max-p", "1000000000000", "--modulus", "6",
+                                    "--residue", "3", "--primes-only", timeout=30)
+        assert code == 1
+        assert payload["error"]["type"] == "InsufficientSamplesError"
+        assert payload["params"]["max_p"] == 1000000000000
+
+    def test_conjecture_primes_only_above_the_engine_limit_exits_1(self):
+        # the candidates lie beyond 2**64, where is_prime stops
+        code, payload = run_process("verify", "conjecture", "--pattern", "0,2,6",
+                                    "--max-p", "99999999999999999999",
+                                    "--min-p", "18446744073709551610", "--modulus", "6",
+                                    "--residue", "5", "--primes-only", timeout=30)
+        assert code == 1
+        assert payload["error"]["type"] == "BoundExceededError"
+
     def test_conjecture_ambiguous_pattern_needs_class(self, capsys):
         # two quadruplet families share 0,2,6,8
         code, _, err = run(capsys, "verify", "conjecture", "--pattern", "0,2,6,8",
@@ -305,3 +326,47 @@ class TestEnvelope:
         main(list(args))
         second = capsys.readouterr().out
         assert first == second
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("command", [
+        "sg frobenius --gens a,b",
+        "tuplets find --pattern 0,2,6 --from 20 --to 5",
+        "formula eval --family T9 --k 1",
+        "verify sweep --family Q1 --k-range 5..3",
+        "verify conjecture --pattern 0,2,6,8 --max-p 500",
+    ])
+    def test_usage_line_names_the_subcommand(self, capsys, command, fmt):
+        code, out, err = run(capsys, *command.split(), "--format", fmt)
+        assert code == 2 and out == ""
+        assert "Traceback" not in err
+        group, name = command.split()[:2]
+        assert err.splitlines()[0].startswith(f"usage: tupletfrob {group} {name} ")
+
+
+def _readme_commands():
+    """The `tupletfrob` lines of the README's "Command line" block, options unbracketed."""
+    section = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    block = section.split("```", 2)[1]
+    calls = []
+    for line in block.splitlines():
+        command, _, comment = line.partition("#")
+        if command.startswith("tupletfrob "):
+            argv = shlex.split(command.replace("[", "").replace("]", ""))[1:]
+            comment = comment.strip()
+            calls.append((argv, comment if re.fullmatch(r"[\d,]+", comment) else None))
+    return calls
+
+
+class TestReadme:
+    def test_command_block_is_found(self):
+        assert len(_readme_commands()) == 13
+
+    @pytest.mark.parametrize("argv, expected", _readme_commands(),
+                             ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+    def test_command_runs(self, capsys, argv, expected):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        if expected is not None:
+            assert out.strip() == expected

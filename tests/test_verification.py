@@ -251,7 +251,7 @@ class TestSweep:
 
     def test_json_round_trip(self):
         report = sweep_family("T2", 0, 10)
-        payload = report.to_json_dict(include_timing=False)
+        payload = report.to_json_dict()
         assert json.loads(json.dumps(payload)) == payload
         assert payload["family"] == "T2" and payload["all_match"] is True
         assert len(payload["entries"]) == 11
@@ -266,8 +266,7 @@ class TestSweep:
         # the keyword is accepted and ignored: sweeps always run serially
         default = sweep_family("T1", 0, 20)
         given = sweep_family("T1", 0, 20, workers=4)
-        assert default.to_json_dict(include_timing=False) == \
-            given.to_json_dict(include_timing=False)
+        assert default.to_json_dict() == given.to_json_dict()
 
 
 class TestQuadraticThrough:
