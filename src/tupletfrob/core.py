@@ -44,15 +44,16 @@ APERY_MODULUS_LIMIT = 10 ** 7
 _UNREACHED = 1 << 62
 
 
-def _positive_int(x) -> int:
-    """x as a Python int, if it is an integer (operator.index) of at least 1, and not a bool."""
+def _int_at_least(x, least: int, error: type[Exception], what: str) -> int:
+    """x as a Python int if an integer >= least (0 or 1) and not a bool; else raises `error`."""
     try:
         value = operator.index(x)  # numpy bools have no __index__
     except TypeError:
-        value = 0
+        value = least - 1
     # bool is an int subclass, but numpy refuses True as the Apéry table length
-    if isinstance(x, bool) or value < 1:
-        raise NonPositiveElementError(f"bad generator {x!r}: must be a positive integer")
+    if isinstance(x, bool) or value < least:
+        sign = "positive" if least else "non-negative"
+        raise error(f"bad {what} {x!r}: must be a {sign} integer")
     return value
 
 
@@ -66,7 +67,7 @@ def validate_generators(candidates) -> tuple[int, ...]:
     numpy integers and other operator.index types are accepted and returned
     as Python ints), and GcdNotOneError when the gcd is not 1.
     """
-    items = [_positive_int(x) for x in candidates]
+    items = [_int_at_least(x, 1, NonPositiveElementError, "generator") for x in candidates]
     if not items:
         raise EmptyInputError("need at least one generator")
     g = math.gcd(*items)

@@ -14,6 +14,7 @@ from itertools import combinations
 
 import numpy as np
 
+from .core import _int_at_least
 from .errors import BoundExceededError, KTooLargeError, NotAdmissibleError
 
 __all__ = [
@@ -53,9 +54,8 @@ class OffsetPattern:
     def __post_init__(self) -> None:
         if len(self.offsets) < 2:
             raise ValueError("a pattern needs at least two offsets")
-        for b in self.offsets:
-            if not isinstance(b, int) or b < 0:
-                raise ValueError(f"bad offset {b!r}: must be a non-negative integer")
+        offsets = tuple(_int_at_least(b, 0, ValueError, "offset") for b in self.offsets)
+        object.__setattr__(self, "offsets", offsets)  # numpy integers become Python ints
         if self.offsets[0] != 0:
             raise ValueError("patterns start at offset 0")
         if any(a >= b for a, b in zip(self.offsets, self.offsets[1:])):

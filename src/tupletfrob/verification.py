@@ -12,6 +12,7 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 
@@ -26,7 +27,7 @@ from .families import (
     type_from_family,
     _family,
 )
-from .tuplets import OffsetPattern, is_admissible, is_prime
+from .tuplets import _SEGMENT_LENGTH, OffsetPattern, find_tuplets, is_admissible
 
 __all__ = [
     "ConjectureFit",
@@ -182,54 +183,39 @@ class SweepReport:
         }
 
 
-def _jsonable(value):
-    if isinstance(value, tuple):
-        return list(value)
-    return value
-
-
 def _check_k(family_id: str, k: int) -> SweepEntry:
+    """One sweep row: each fact the family row states at k (a key of `closed`) vs the engine."""
     d = FAMILIES[family_id]
     gens = d.generators(k)
     semigroup = make_semigroup(gens)
-    engine_f = semigroup.frobenius_number()
-    engine_g = semigroup.genus()
-    engine_pf = semigroup.pseudo_frobenius()
-
-    mismatch: dict = {}
-    info: dict = {}
-
-    def compare(name, closed, engine):
-        if closed != engine:
-            mismatch[name] = {"closed": _jsonable(closed), "engine": _jsonable(engine)}
-
-    if d.has_apery_form and k >= d.k_min:
-        inv = invariants_closed_form(family_id, k)
-        compare("frobenius", inv.frobenius, engine_f)
-        compare("genus", inv.genus, engine_g)
-        compare("pseudo_frobenius", inv.pseudo_frobenius, engine_pf)
-        compare("type", inv.type_, len(engine_pf))
-        compare("apery", apery_closed_form(family_id, k).table, semigroup.apery_set().table)
-    else:
-        if k >= d.k_min:
-            compare("frobenius", frobenius_from_p(d.p_of_k(k), d.pattern), engine_f)
-        else:
-            info["observed_frobenius"] = engine_f
-        if k >= d.type_k_min:
-            compare("type", type_from_family(family_id, k), len(engine_pf))
-        else:
-            info["observed_type"] = len(engine_pf)
+    pf = semigroup.pseudo_frobenius()
+    engine = {"frobenius": semigroup.frobenius_number(), "genus": semigroup.genus(),
+              "pseudo_frobenius": pf, "type": len(pf)}
+    closed = {}
+    if k >= d.k_min:
+        closed["frobenius"] = frobenius_from_p(d.p_of_k(k), d.pattern)
+        if d.has_apery_form:
+            inv = invariants_closed_form(family_id, k)
+            closed.update(genus=inv.genus, pseudo_frobenius=inv.pseudo_frobenius,
+                          apery=apery_closed_form(family_id, k).table)
+            engine["apery"] = semigroup.apery_set().table
+    if k >= d.type_k_min:
+        closed["type"] = type_from_family(family_id, k)
+    mismatch = {name: {"closed": closed[name], "engine": value}
+                for name, value in engine.items() if name in closed and closed[name] != value}
 
     if gens[0] * gens[-1] <= SWEEP_ORACLE_LIMIT:
         oracle = oracle_frobenius(gens, with_gaps=False)
-        if oracle.frobenius != engine_f:
-            mismatch["oracle_frobenius"] = {"oracle": oracle.frobenius, "engine": engine_f}
-        if oracle.genus != engine_g:
-            mismatch["oracle_genus"] = {"oracle": oracle.genus, "engine": engine_g}
+        mismatch.update({f"oracle_{name}": {"oracle": value, "engine": engine[name]}
+                         for name, value in (("frobenius", oracle.frobenius),
+                                             ("genus", oracle.genus))
+                         if value != engine[name]})
 
     if mismatch:
         return SweepEntry(k, "mismatch", mismatch)
-    return SweepEntry(k, "match", info or None)
+    observed = {f"observed_{name}": engine[name]
+                for name in ("frobenius", "type") if name not in closed}
+    return SweepEntry(k, "match", observed or None)
 
 
 def sweep_family(family_id: str, k_lo: int, k_hi: int, *,
@@ -294,10 +280,10 @@ def fit_conjecture(pattern: OffsetPattern, p_modulus: int, p_residue: int, *,
     The quadratic through the first three samples is computed exactly; the
     fit is exact only if every remaining sample lands on it (at least four
     samples are required).  F values come from the Apéry engine, which shares
-    nothing with the family formula tables.  With primes_only, only p whose
-    whole pattern lands on primes are sampled.  A candidate p above
-    core.APERY_MODULUS_LIMIT, which the engine would refuse as multiplicity,
-    raises BoundExceededError before it is tested.
+    nothing with the family formula tables.  Samples are the first class
+    members p >= min_p up to core.APERY_MODULUS_LIMIT; with primes_only, the
+    ones find_tuplets finds.  Too few there, with max_p above the limit,
+    raise BoundExceededError.
     """
     if p_modulus < 1:
         raise DomainError(f"p_modulus must be at least 1, got {p_modulus}")
@@ -308,15 +294,22 @@ def fit_conjecture(pattern: OffsetPattern, p_modulus: int, p_residue: int, *,
         # some p + b of the class is then always a multiple of one prime
         # q <= max(p_modulus, k), so an instance has p + b = q: none lies higher
         max_p = min(max_p, max(p_modulus, pattern.size))
-    p = min_p + (p_residue - min_p) % p_modulus
-    ps = []
-    while p <= max_p and len(ps) < max_samples:
-        if p > APERY_MODULUS_LIMIT:
-            raise BoundExceededError(
-                f"Apéry modulus {p} exceeds the engine limit {APERY_MODULUS_LIMIT}")
-        if p >= 1 and (not primes_only or all(is_prime(p + b) for b in pattern.offsets)):
-            ps.append(p)
-        p += p_modulus
+    start = max(min_p, 1)
+    first = start + (p_residue - start) % p_modulus
+    top = min(max_p, APERY_MODULUS_LIMIT)
+    within = range(first, top + 1, p_modulus)
+    candidates = within
+    if primes_only:
+        # one sieve segment per call, so sieving stops soon after the last sample
+        candidates = (t.p for lo in range(first, top + 1, _SEGMENT_LENGTH)
+                      for t in find_tuplets(pattern, lo, min(lo + _SEGMENT_LENGTH - 1, top),
+                                            False, allow_inadmissible=True)
+                      if t.p in within)
+    ps = list(islice(candidates, max_samples))
+    beyond = first + len(within) * p_modulus
+    if len(ps) < max_samples and beyond <= max_p:
+        raise BoundExceededError(
+            f"Apéry modulus {beyond} exceeds the engine limit {APERY_MODULUS_LIMIT}")
     if len(ps) < 4:
         raise InsufficientSamplesError(
             f"need at least 4 sample points in the class, found {len(ps)}")

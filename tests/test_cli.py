@@ -305,6 +305,16 @@ class TestVerifyGroup:
         assert code == 1
         assert payload["error"]["type"] == "BoundExceededError"
 
+    def test_conjecture_primes_only_in_a_class_without_instances_ends_at_once(self):
+        # no prime decuplet lies below the engine's limit, so the sampler
+        # reaches the limit with no sample and max_p goes beyond it
+        code, payload = run_process("verify", "conjecture", "--pattern",
+                                    "0,2,6,8,12,18,20,26,30,32", "--max-p", "100000000",
+                                    "--modulus", "1", "--residue", "0", "--primes-only",
+                                    timeout=30)
+        assert code == 1
+        assert payload["error"]["type"] == "BoundExceededError"
+
     def test_conjecture_ambiguous_pattern_needs_class(self, capsys):
         # two quadruplet families share 0,2,6,8
         code, _, err = run(capsys, "verify", "conjecture", "--pattern", "0,2,6,8",

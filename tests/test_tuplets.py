@@ -35,6 +35,17 @@ class TestOffsetPattern:
         with pytest.raises(ValueError):
             OffsetPattern((0, 2, 2))
 
+    def test_numpy_offsets_are_stored_as_python_ints(self):
+        p = OffsetPattern(tuple(np.array([0, 2, 6])))
+        assert p == OffsetPattern((0, 2, 6)) and str(p) == "0,2,6"
+        assert all(type(b) is int for b in p.offsets)
+
+    @pytest.mark.parametrize("offsets", [(False, True, 6), (0, True, 6), (0, np.True_, 6),
+                                         (0, 2.0, 6), (0, -2)])
+    def test_bools_and_non_integers_are_refused(self, offsets):
+        with pytest.raises(ValueError, match="bad offset"):
+            OffsetPattern(offsets)
+
 
 class TestAdmissibility:
     def test_triplet_patterns(self):

@@ -1,5 +1,6 @@
 """Oracle, sweep, and conjecture-fit tests."""
 
+import dataclasses
 import json
 import math
 import random
@@ -16,6 +17,7 @@ from tupletfrob import (
     OffsetPattern,
     QuadraticPoly,
     fit_conjecture,
+    is_prime,
     make_semigroup,
     oracle_frobenius,
     sweep_family,
@@ -29,6 +31,7 @@ from tupletfrob.errors import (
     NonPositiveElementError,
 )
 from tupletfrob import verification
+from tupletfrob.tuplets import SIEVE_DIAMETER_LIMIT
 from tupletfrob.verification import _quadratic_through
 
 from test_core import random_coprime_gens
@@ -256,6 +259,34 @@ class TestSweep:
         assert payload["family"] == "T2" and payload["all_match"] is True
         assert len(payload["entries"]) == 11
 
+    def test_wrong_closed_genus_and_pf_are_mismatches(self, monkeypatch):
+        real = verification.invariants_closed_form
+
+        def wrong(fid, k):
+            inv = real(fid, k)
+            pf = (inv.pseudo_frobenius[0] - 1, *inv.pseudo_frobenius[1:])
+            return dataclasses.replace(inv, genus=inv.genus + 1, pseudo_frobenius=pf)
+
+        monkeypatch.setattr(verification, "invariants_closed_form", wrong)
+        report = sweep_family("T1", 1, 1)
+        engine = make_semigroup((11, 13, 17))
+        pf = engine.pseudo_frobenius()
+        entry = report.entries[0]
+        assert entry.status == "mismatch" and not report.all_match
+        assert entry.detail == {
+            "genus": {"closed": engine.genus() + 1, "engine": engine.genus()},
+            "pseudo_frobenius": {"closed": (pf[0] - 1, *pf[1:]), "engine": pf},
+        }
+        written = json.loads(json.dumps(report.to_json_dict()))["entries"][0]["detail"]
+        assert written["pseudo_frobenius"] == {"closed": [pf[0] - 1, *pf[1:]],
+                                               "engine": list(pf)}
+
+    def test_tabulated_type_is_checked(self, monkeypatch):
+        monkeypatch.setitem(FAMILIES, "T1", dataclasses.replace(FAMILIES["T1"], type_value=3))
+        report = sweep_family("T1", 1, 2)
+        assert [e.status for e in report.entries] == ["mismatch", "mismatch"]
+        assert all(e.detail == {"type": {"closed": 3, "engine": 2}} for e in report.entries)
+
     def test_bad_range(self):
         with pytest.raises(ValueError):
             sweep_family("T1", 5, 3)
@@ -296,6 +327,37 @@ class TestFitConjecture:
                              max_p=2000, primes_only=True)
         assert fit.exact and fit.poly == d.f_from_p
         assert all(p in (5, 11, 17, 41, 101, 107, 191, 227) for p, _ in fit.samples)
+
+    @pytest.mark.parametrize("offsets, modulus, residue, min_p, samples", [
+        ((0, 2, 6), 6, 5, None, 8),           # T1
+        ((0, 2), 6, 5, None, 20),             # twins with p = 5 mod 6
+        ((0, 2, 6, 8, 12), 30, 11, None, 6),  # Quin1, over several sieve windows
+        ((0, 2, 6), 6, 5, 100001, 8),         # a min_p inside the class
+    ])
+    def test_primes_only_samples_match_a_primality_scan(self, offsets, modulus, residue,
+                                                        min_p, samples):
+        pattern = OffsetPattern(offsets)
+        fit = fit_conjecture(pattern, modulus, residue, max_p=10 ** 7, min_p=min_p,
+                             primes_only=True, max_samples=samples)
+        p = residue if min_p is None else min_p
+        expected = []
+        while len(expected) < samples:
+            if all(is_prime(p + b) for b in offsets):
+                expected.append(p)
+            p += modulus
+        assert [p for p, _ in fit.samples] == expected
+
+    def test_primes_only_blocked_class_has_the_scan_count(self):
+        # every p = 3 mod 6 puts a multiple of 3 in (0,2,4); the scan finds only p = 3
+        scan = [p for p in range(3, 10 ** 4, 6) if all(is_prime(p + b) for b in (0, 2, 4))]
+        assert scan == [3]
+        with pytest.raises(InsufficientSamplesError, match="found 1$"):
+            fit_conjecture(OffsetPattern((0, 2, 4)), 6, 3, max_p=10 ** 12, primes_only=True)
+
+    def test_primes_only_refuses_patterns_wider_than_the_sieve(self):
+        pattern = OffsetPattern((0, 2, SIEVE_DIAMETER_LIMIT + 2))
+        with pytest.raises(BoundExceededError, match="diameter"):
+            fit_conjecture(pattern, 6, 5, max_p=1000, primes_only=True)
 
     def test_insufficient_samples(self):
         d = FAMILIES["T1"]
