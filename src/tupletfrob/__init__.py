@@ -7,82 +7,13 @@ formulas for triplets through septuplets, and cross-validation tooling that
 checks the formulas against independent brute force.
 """
 
-from . import errors
-from .core import (
-    AperySet,
-    GeneratorSet,
-    NumericalSemigroup,
-    SemigroupInvariants,
-    make_semigroup,
-)
-from .families import (
-    FAMILIES,
-    FamilyDescriptor,
-    QuadraticPoly,
-    apery_closed_form,
-    apery_grouped,
-    apery_grouped_text,
-    classify,
-    classify_tuplet,
-    family_registry,
-    frobenius_from_p,
-    invariants_closed_form,
-    lemma_identities,
-    type_from_family,
-)
-from .tuplets import (
-    AdmissibilityReport,
-    OffsetPattern,
-    PrimeTuplet,
-    find_tuplets,
-    is_admissible,
-    is_prime,
-    smallest_diameter,
-)
-from .verification import (
-    ConjectureFit,
-    OracleResult,
-    SweepEntry,
-    SweepReport,
-    fit_conjecture,
-    oracle_frobenius,
-    sweep_family,
-)
+# the package exports what each module lists in its own __all__
+from . import core, errors, families, tuplets, verification
+from .core import *
+from .families import *
+from .tuplets import *
+from .verification import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AdmissibilityReport",
-    "AperySet",
-    "ConjectureFit",
-    "FAMILIES",
-    "FamilyDescriptor",
-    "GeneratorSet",
-    "NumericalSemigroup",
-    "OffsetPattern",
-    "OracleResult",
-    "PrimeTuplet",
-    "QuadraticPoly",
-    "SemigroupInvariants",
-    "SweepEntry",
-    "SweepReport",
-    "apery_closed_form",
-    "apery_grouped",
-    "apery_grouped_text",
-    "classify",
-    "classify_tuplet",
-    "errors",
-    "family_registry",
-    "find_tuplets",
-    "fit_conjecture",
-    "frobenius_from_p",
-    "invariants_closed_form",
-    "is_admissible",
-    "is_prime",
-    "lemma_identities",
-    "make_semigroup",
-    "oracle_frobenius",
-    "smallest_diameter",
-    "sweep_family",
-    "type_from_family",
-]
+__all__ = ["errors", *core.__all__, *families.__all__, *tuplets.__all__, *verification.__all__]

@@ -24,6 +24,7 @@ from .families import (
     family_registry,
     frobenius_from_p,
     invariants_closed_form,
+    stated_at,
 )
 from .tuplets import OffsetPattern, find_tuplets, is_admissible, smallest_diameter
 from .verification import fit_conjecture, sweep_family
@@ -31,6 +32,7 @@ from .verification import fit_conjecture, sweep_family
 _INT_LIST = re.compile(r"^\d+(,\d+)*$")
 _K_RANGE = re.compile(r"^(\d+)\.\.(\d+)$")
 _VALUE_CAP = 1 << 63
+_FACT_LABELS = {"frobenius": "F", "genus": "g", "pseudo_frobenius": "PF", "type": "t"}
 
 
 # --- argument types: each raises ArgumentTypeError for its subcommand's parser ---
@@ -123,25 +125,19 @@ def _run_formula(args, params: dict) -> tuple[object, str]:
     if op == "eval":
         family_id, k = args.family, args.k
         params.update({"family": family_id, "k": k})
-        d = FAMILIES[family_id]
-        p = d.p_of_k(k)
-        if d.has_apery_form:
+        result = stated_at(family_id, k)
+        if "frobenius" not in result:
+            # the engine for Q1 at k = 0; everywhere else the k guard's error
             inv = invariants_closed_form(family_id, k)
             result = {"frobenius": inv.frobenius, "genus": inv.genus,
                       "pseudo_frobenius": inv.pseudo_frobenius, "type": inv.type_}
-            line = (f"F={inv.frobenius}, g={inv.genus}, "
-                    f"PF={_csv(inv.pseudo_frobenius)}, t={inv.type_}")
-            if args.style == "paper":
-                result["apery_grouped"] = apery_grouped_text(family_id, k)
-                line += "\nAp: " + result["apery_grouped"]
-        else:
-            result = {"frobenius": frobenius_from_p(p, d.pattern)}
-            line = f"F={result['frobenius']}"
-            if k >= d.type_k_min:
-                result["type"] = d.type_value
-                line += f", t={d.type_value}"
-        gens = d.generators(k)
-        result.update({"family": family_id, "k": k, "p": p, "generators": gens})
+        line = ", ".join(f"{_FACT_LABELS[name]}={_csv(v) if isinstance(v, tuple) else v}"
+                         for name, v in result.items())
+        if args.style == "paper" and "pseudo_frobenius" in result:
+            result["apery_grouped"] = apery_grouped_text(family_id, k)
+            line += "\nAp: " + result["apery_grouped"]
+        gens = FAMILIES[family_id].generators(k)
+        result.update({"family": family_id, "k": k, "p": gens[0], "generators": gens})
         text = f"family {family_id}, k={k}: S=<{_csv(gens)}>\n{line}"
     elif op == "from-p":
         params.update({"p": args.p, "pattern": args.pattern.offsets})

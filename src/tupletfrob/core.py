@@ -137,6 +137,13 @@ class SemigroupInvariants:
             raise ValueError("the type must count the pseudo-Frobenius numbers")
 
 
+def _check_apery_modulus(n: int) -> None:
+    """The engine's BoundExceededError for an Apéry modulus above APERY_MODULUS_LIMIT."""
+    if n > APERY_MODULUS_LIMIT:
+        raise BoundExceededError(
+            f"Apéry modulus {n} exceeds the engine limit {APERY_MODULUS_LIMIT}")
+
+
 def _residue_table(n: int, gens: tuple[int, ...]) -> np.ndarray:
     """Least reachable element of every residue class mod n, as a read-only int64 array.
 
@@ -154,9 +161,7 @@ def _residue_table(n: int, gens: tuple[int, ...]) -> np.ndarray:
     bound the table, the sentinel of unreached classes and w + a all fit in
     int64.
     """
-    if n > APERY_MODULUS_LIMIT:
-        raise BoundExceededError(
-            f"Apéry modulus {n} exceeds the engine limit {APERY_MODULUS_LIMIT}")
+    _check_apery_modulus(n)
     if (n - 1) * max(gens) >= _UNREACHED:
         raise BoundExceededError(
             f"({n} - 1) * {max(gens)} reaches 2**62: Apéry values could overflow int64")

@@ -6,9 +6,9 @@ as a quadratic F(p) and its tabulated type; the triplet and quadruplet
 families (T1, T2, Q1, Q2) also carry Apéry index sets and the genus and
 pseudo-Frobenius polynomials in k.  F in k is always F(p) at p = p(k).
 
-Below a family's k_min (only Q1 at k = 0) the invariants and the grouped
-listing come from the Apéry engine.  The grouped listing derives its blocks
-from the Apéry set by one rule for every family (see apery_grouped).
+stated_at alone decides what a row states at k.  Below k_min (only Q1 at
+k = 0) the invariants and the grouped listing come from the Apéry engine,
+and the listing groups the Apéry set by one rule for every family.
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ __all__ = [
     "frobenius_from_p",
     "invariants_closed_form",
     "lemma_identities",
+    "stated_at",
     "type_from_family",
 ]
 
@@ -100,8 +101,7 @@ class FamilyDescriptor:
     pattern: OffsetPattern
     p_modulus: int
     p_residue: int
-    k_min: int                      # F(p) and, with an Apéry form, the index set
-                                    # and invariant polynomials hold from here
+    k_min: int                      # F(p), index set and polynomials hold from here
     f_from_p: QuadraticPoly         # F in k too, at p = p_of_k(k)
     type_value: int
     type_k_min: int                 # validity of type_value
@@ -175,14 +175,43 @@ def _family(family_id: str) -> FamilyDescriptor:
         raise UnsupportedPatternError(f"unknown family {family_id!r}") from None
 
 
-def _apery_family(family_id: str, k: int) -> FamilyDescriptor:
-    """The family, once it has an Apéry closed form valid at k (k >= k_min)."""
+def stated_at(family_id: str, k: int) -> dict:
+    """The facts the family row states at k, by name.
+
+    From k_min: `frobenius` (F(p) at p(k)) and, with an Apéry form, `genus`
+    and the sorted `pseudo_frobenius`.  From type_k_min: `type`.
+    """
     d = _family(family_id)
+    facts = {}
+    if k >= d.k_min:
+        facts["frobenius"] = d.f_from_p.eval_int(d.p_of_k(k))
+        if d.has_apery_form:
+            facts["genus"] = _eval_poly(d.g_in_k, k)
+            facts["pseudo_frobenius"] = tuple(sorted(_eval_poly(c, k) for c in d.pf_in_k))
+    if k >= d.type_k_min:
+        facts["type"] = d.type_value
+    return facts
+
+
+def _stated(family_id: str, k: int, *names: str) -> dict:
+    """stated_at(family_id, k), which must hold every fact named: the one k guard."""
+    facts = stated_at(family_id, k)
+    for name in names:
+        if name not in facts:
+            d = FAMILIES[family_id]
+            raise KBelowMinimumError(
+                f"{family_id} states no {name} at k={k}, p={d.p_of_k(k)} "
+                f"(k_min={d.k_min}, type_k_min={d.type_k_min})")
+    return facts
+
+
+def _apery_family(family_id: str, k: int) -> FamilyDescriptor:
+    """The family, once its row states F at k and it has an Apéry closed form."""
+    _stated(family_id, k, "frobenius")
+    d = FAMILIES[family_id]
     if not d.has_apery_form:
         raise UnsupportedPatternError(
             f"family {family_id} has no closed-form Apéry set (only F(p) and the type)")
-    if k < d.k_min:
-        raise KBelowMinimumError(f"{family_id} closed forms need k >= {d.k_min}, got {k}")
     return d
 
 
@@ -360,31 +389,25 @@ def _engine_below_k_min(family_id: str, k: int) -> NumericalSemigroup | None:
     closed forms, with their k guard, apply.
     """
     d = _family(family_id)
-    if d.has_apery_form and 0 <= k < d.k_min:
+    if d.has_apery_form and k >= 0 and "frobenius" not in stated_at(family_id, k):
         return make_semigroup(d.generators(k))
     return None
 
 
 def invariants_closed_form(family_id: str, k: int) -> SemigroupInvariants:
-    """F from F(p) at p(k); genus, pseudo-Frobenius numbers and type from polynomials in k.
+    """F, genus, pseudo-Frobenius numbers and type as the family row states them at k.
 
     Below the family's k_min the invariants come from the Apéry engine.
     """
     engine = _engine_below_k_min(family_id, k)
     if engine is not None:
         return engine.invariants()
-    d = _apery_family(family_id, k)
-    assert d.g_in_k and d.pf_in_k
-    pf = tuple(sorted(_eval_poly(c, k) for c in d.pf_in_k))
-    gens = d.generators(k)
+    gens = _apery_family(family_id, k).generators(k)
+    facts = _stated(family_id, k, "genus", "pseudo_frobenius", "type")
     return SemigroupInvariants(
-        frobenius=d.f_from_p.eval_int(d.p_of_k(k)),
-        genus=_eval_poly(d.g_in_k, k),
-        pseudo_frobenius=pf,
-        type_=len(pf),
-        embedding_dimension=len(gens),
-        minimal_generators=GeneratorSet(gens),
-    )
+        frobenius=facts["frobenius"], genus=facts["genus"],
+        pseudo_frobenius=facts["pseudo_frobenius"], type_=facts["type"],
+        embedding_dimension=len(gens), minimal_generators=GeneratorSet(gens))
 
 
 def frobenius_from_p(p: int, pattern: OffsetPattern) -> int:
@@ -392,21 +415,12 @@ def frobenius_from_p(p: int, pattern: OffsetPattern) -> int:
 
     The members need not be prime; only the residue class of p matters.
     """
-    family_id, k = classify(p, pattern)
-    d = FAMILIES[family_id]
-    if k < d.k_min:
-        raise KBelowMinimumError(
-            f"the {family_id} quadratic needs p >= {d.p_of_k(d.k_min)}, got p={p}")
-    return d.f_from_p.eval_int(p)
+    return _stated(*classify(p, pattern), "frobenius")["frobenius"]
 
 
 def type_from_family(family_id: str, k: int) -> int:
     """Tabulated type of the family at parameter k."""
-    d = _family(family_id)
-    if k < d.type_k_min:
-        raise KBelowMinimumError(
-            f"the {family_id} type value needs k >= {d.type_k_min}, got {k}")
-    return d.type_value
+    return _stated(family_id, k, "type")["type"]
 
 
 # --- grouped (pretty-printed) Apéry listings --------------------------------

@@ -16,17 +16,9 @@ from itertools import islice
 
 import numpy as np
 
-from .core import APERY_MODULUS_LIMIT, make_semigroup, validate_generators
+from .core import APERY_MODULUS_LIMIT, _check_apery_modulus, make_semigroup, validate_generators
 from .errors import BoundExceededError, DomainError, InsufficientSamplesError
-from .families import (
-    FAMILIES,
-    QuadraticPoly,
-    apery_closed_form,
-    frobenius_from_p,
-    invariants_closed_form,
-    type_from_family,
-    _family,
-)
+from .families import FAMILIES, QuadraticPoly, apery_closed_form, stated_at, _family
 from .tuplets import _SEGMENT_LENGTH, OffsetPattern, find_tuplets, is_admissible
 
 __all__ = [
@@ -184,33 +176,26 @@ class SweepReport:
 
 
 def _check_k(family_id: str, k: int) -> SweepEntry:
-    """One sweep row: each fact the family row states at k (a key of `closed`) vs the engine."""
-    d = FAMILIES[family_id]
-    gens = d.generators(k)
+    """One sweep row: the engine against each source of facts about the row at k."""
+    gens = FAMILIES[family_id].generators(k)
     semigroup = make_semigroup(gens)
     pf = semigroup.pseudo_frobenius()
     engine = {"frobenius": semigroup.frobenius_number(), "genus": semigroup.genus(),
               "pseudo_frobenius": pf, "type": len(pf)}
-    closed = {}
-    if k >= d.k_min:
-        closed["frobenius"] = frobenius_from_p(d.p_of_k(k), d.pattern)
-        if d.has_apery_form:
-            inv = invariants_closed_form(family_id, k)
-            closed.update(genus=inv.genus, pseudo_frobenius=inv.pseudo_frobenius,
-                          apery=apery_closed_form(family_id, k).table)
-            engine["apery"] = semigroup.apery_set().table
-    if k >= d.type_k_min:
-        closed["type"] = type_from_family(family_id, k)
-    mismatch = {name: {"closed": closed[name], "engine": value}
-                for name, value in engine.items() if name in closed and closed[name] != value}
-
+    closed = stated_at(family_id, k)
+    if "pseudo_frobenius" in closed:
+        closed["apery"] = apery_closed_form(family_id, k).table
+        engine["apery"] = semigroup.apery_set().table
+    sources = {"closed": closed}
     if gens[0] * gens[-1] <= SWEEP_ORACLE_LIMIT:
         oracle = oracle_frobenius(gens, with_gaps=False)
-        mismatch.update({f"oracle_{name}": {"oracle": value, "engine": engine[name]}
-                         for name, value in (("frobenius", oracle.frobenius),
-                                             ("genus", oracle.genus))
-                         if value != engine[name]})
-
+        sources["oracle"] = {"frobenius": oracle.frobenius, "genus": oracle.genus}
+    mismatch = {}
+    for name, value in engine.items():
+        sides = {source: facts[name] for source, facts in sources.items()
+                 if name in facts and facts[name] != value}
+        if sides:
+            mismatch[name] = {**sides, "engine": value}
     if mismatch:
         return SweepEntry(k, "mismatch", mismatch)
     observed = {f"observed_{name}": engine[name]
@@ -226,9 +211,10 @@ def sweep_family(family_id: str, k_lo: int, k_hi: int, *,
     milliseconds, and a thread pool made sweeps slower, so `workers` is
     ignored; it stays only because the sweep benchmark still passes it.
     """
-    _family(family_id)
+    d = _family(family_id)
     if k_lo < 0 or k_hi < k_lo:
         raise ValueError(f"need 0 <= k_lo <= k_hi for family {family_id}")
+    _check_apery_modulus(d.p_of_k(k_hi))
     start = time.perf_counter()
     entries = tuple(_check_k(family_id, k) for k in range(k_lo, k_hi + 1))
     return SweepReport(family_id, k_lo, k_hi, entries, time.perf_counter() - start)
@@ -287,6 +273,9 @@ def fit_conjecture(pattern: OffsetPattern, p_modulus: int, p_residue: int, *,
     """
     if p_modulus < 1:
         raise DomainError(f"p_modulus must be at least 1, got {p_modulus}")
+    if max_samples < 4:
+        raise InsufficientSamplesError(
+            f"need at least 4 sample points in the class, asked for {max_samples}")
     if min_p is None:
         min_p = p_residue
     if primes_only and (not is_admissible(pattern).admissible or

@@ -17,6 +17,7 @@ from tupletfrob.cli import main
 SRC = str(Path(tupletfrob.__file__).resolve().parents[1])
 GOLDEN = Path(__file__).resolve().parent / "golden"
 README = Path(__file__).resolve().parents[1] / "README.md"
+WIDE_FAMILIES = ("Quin1", "Quin2", "Sex7", "Sex37", "Sex67", "Sex97", "Sep1", "Sep2")
 
 
 def run(capsys, *argv):
@@ -184,6 +185,9 @@ class TestFormulaGroup:
     @pytest.mark.parametrize("family, k, style", [
         *((family, k, "paper") for family in ("T1", "T2", "Q1", "Q2") for k in (0, 1, 2, 7, 30)),
         ("Q1", 0, "flat"),
+        *((family, 7, "flat") for family in WIDE_FAMILIES),
+        ("Quin2", 0, "flat"),   # below type_k_min: F without t
+        ("Sex7", 0, "flat"),
     ])
     def test_eval_stdout_is_byte_identical(self, capsys, family, k, style, fmt):
         argv = ["formula", "eval", "--family", family, "--k", str(k), "--style", style]
@@ -193,6 +197,15 @@ class TestFormulaGroup:
         assert code == 0
         suffix = "_paper" if style == "paper" else ""
         assert out.encode() == (GOLDEN / f"eval_{family}_{k}{suffix}.{fmt}").read_bytes()
+
+    @pytest.mark.parametrize("fmt", ["txt", "json"])
+    def test_eval_wide_family_ignores_paper_style(self, capsys, fmt):
+        argv = ["formula", "eval", "--family", "Quin1", "--k", "7", "--style", "paper"]
+        if fmt == "json":
+            argv += ["--format", "json"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out.encode() == (GOLDEN / f"eval_Quin1_7.{fmt}").read_bytes()
 
     def test_eval_paper_style_above_listing_limit_exits_1_at_once(self):
         argv = ("formula", "eval", "--family", "T1", "--k", "100000000")
@@ -208,6 +221,15 @@ class TestFormulaGroup:
         code, payload, _ = run_json(capsys, "formula", "eval", "--family", "Quin1", "--k", "0")
         assert payload["result"]["frobenius"] == 31
         assert payload["result"]["type"] == 6
+
+    @pytest.mark.parametrize("family, k", [("T1", -1), ("Quin1", -1), ("Sep1", 0)])
+    def test_eval_below_the_thresholds_is_the_k_guard(self, capsys, family, k):
+        code, payload, _ = run_json(capsys, "formula", "eval", "--family", family,
+                                    "--k", str(k))
+        assert code == 1
+        assert payload["error"]["type"] == "KBelowMinimumError"
+        assert re.fullmatch(rf"{family} states no frobenius at k={k}, p=-?\d+ "
+                            r"\(k_min=\d+, type_k_min=\d+\)", payload["error"]["message"])
 
     def test_eval_unknown_family(self, capsys):
         code, _, err = run(capsys, "formula", "eval", "--family", "T9", "--k", "1")
@@ -272,6 +294,18 @@ class TestVerifyGroup:
         assert code == 0
         assert payload["result"]["exact"] is True
         assert payload["result"]["poly"]["a0"] == [-4, 1]
+
+    @pytest.mark.parametrize("samples", ["-1", "3"])
+    def test_conjecture_too_few_samples_is_domain_error(self, capsys, samples):
+        argv = ("verify", "conjecture", "--pattern", "0,2,6", "--max-p", "10000",
+                "--samples", samples)
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "" and "Traceback" not in err
+        code, payload, _ = run_json(capsys, *argv)
+        assert code == 1
+        assert payload["error"] == {
+            "type": "InsufficientSamplesError",
+            "message": f"need at least 4 sample points in the class, asked for {samples}"}
 
     def test_conjecture_zero_modulus(self):
         code, payload = run_process("verify", "conjecture", "--pattern", "0,2,6",

@@ -23,6 +23,7 @@ from tupletfrob import (
     invariants_closed_form,
     lemma_identities,
     make_semigroup,
+    stated_at,
     type_from_family,
 )
 from tupletfrob import families
@@ -216,6 +217,42 @@ class TestInvariantsClosedForm:
             assert inv.frobenius == s.frobenius_number()
             assert inv.genus == s.genus()
             assert inv.pseudo_frobenius == s.pseudo_frobenius()
+
+
+class TestStatedAt:
+    @pytest.mark.parametrize("fid", FAMILIES)
+    def test_keys_follow_the_thresholds(self, fid):
+        d = FAMILIES[fid]
+        from_k_min = {"frobenius"} | ({"genus", "pseudo_frobenius"} if fid in APERY_FAMILIES
+                                      else set())
+        for k in (d.k_min - 1, d.k_min, d.type_k_min - 1, d.type_k_min):
+            expected = ((from_k_min if k >= d.k_min else set())
+                        | ({"type"} if k >= d.type_k_min else set()))
+            facts = stated_at(fid, k)
+            assert set(facts) == expected, k
+            if k >= 0:
+                inv = make_semigroup(d.generators(k)).invariants()
+                engine = {"frobenius": inv.frobenius, "genus": inv.genus,
+                          "pseudo_frobenius": inv.pseudo_frobenius, "type": inv.type_}
+                assert facts.items() <= engine.items(), k
+
+    def test_every_guard_raises_one_message_shape(self):
+        sep1 = FAMILIES["Sep1"].pattern
+        for call, fid, fact, k, p in (
+            (lambda: frobenius_from_p(5, OffsetPattern((0, 2, 6, 8))), "Q1", "frobenius", 0, 5),
+            (lambda: frobenius_from_p(11, sep1), "Sep1", "frobenius", 0, 11),
+            (lambda: type_from_family("Quin2", 0), "Quin2", "type", 0, 7),
+            (lambda: type_from_family("Q1", 0), "Q1", "type", 0, 5),
+            (lambda: invariants_closed_form("T1", -1), "T1", "frobenius", -1, -1),
+            (lambda: invariants_closed_form("Quin1", -1), "Quin1", "frobenius", -1, -19),
+            (lambda: apery_closed_form("Q1", 0), "Q1", "frobenius", 0, 5),
+            (lambda: apery_closed_form("T2", -1), "T2", "frobenius", -1, 1),
+        ):
+            d = FAMILIES[fid]
+            with pytest.raises(KBelowMinimumError) as info:
+                call()
+            assert str(info.value) == (f"{fid} states no {fact} at k={k}, p={p} "
+                                       f"(k_min={d.k_min}, type_k_min={d.type_k_min})")
 
 
 class TestFrobeniusFromP:

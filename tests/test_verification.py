@@ -30,7 +30,7 @@ from tupletfrob.errors import (
     InsufficientSamplesError,
     NonPositiveElementError,
 )
-from tupletfrob import verification
+from tupletfrob import core, verification
 from tupletfrob.tuplets import SIEVE_DIAMETER_LIMIT
 from tupletfrob.verification import _quadratic_through
 
@@ -260,14 +260,14 @@ class TestSweep:
         assert len(payload["entries"]) == 11
 
     def test_wrong_closed_genus_and_pf_are_mismatches(self, monkeypatch):
-        real = verification.invariants_closed_form
+        real = verification.stated_at
 
         def wrong(fid, k):
-            inv = real(fid, k)
-            pf = (inv.pseudo_frobenius[0] - 1, *inv.pseudo_frobenius[1:])
-            return dataclasses.replace(inv, genus=inv.genus + 1, pseudo_frobenius=pf)
+            facts = real(fid, k)
+            pf = (facts["pseudo_frobenius"][0] - 1, *facts["pseudo_frobenius"][1:])
+            return {**facts, "genus": facts["genus"] + 1, "pseudo_frobenius": pf}
 
-        monkeypatch.setattr(verification, "invariants_closed_form", wrong)
+        monkeypatch.setattr(verification, "stated_at", wrong)
         report = sweep_family("T1", 1, 1)
         engine = make_semigroup((11, 13, 17))
         pf = engine.pseudo_frobenius()
@@ -280,6 +280,36 @@ class TestSweep:
         written = json.loads(json.dumps(report.to_json_dict()))["entries"][0]["detail"]
         assert written["pseudo_frobenius"] == {"closed": [pf[0] - 1, *pf[1:]],
                                                "engine": list(pf)}
+
+    def test_wrong_oracle_is_a_mismatch_with_both_sides(self, monkeypatch):
+        real = verification.oracle_frobenius
+
+        def wrong(gens, *, with_gaps=True):
+            res = real(gens, with_gaps=with_gaps)
+            return dataclasses.replace(res, frobenius=res.frobenius + 1)
+
+        monkeypatch.setattr(verification, "oracle_frobenius", wrong)
+        report = sweep_family("Quin1", 0, 0)
+        assert report.entries[0].detail == {"frobenius": {"oracle": 32, "engine": 31}}
+        # a fact both sources get wrong is one entry holding both
+        real_stated = verification.stated_at
+        monkeypatch.setattr(verification, "stated_at",
+                            lambda fid, k: {**real_stated(fid, k), "frobenius": 30})
+        assert sweep_family("Quin1", 0, 0).entries[0].detail == \
+            {"frobenius": {"closed": 30, "oracle": 32, "engine": 31}}
+
+    def test_range_past_the_engine_bound_fails_before_any_row(self, monkeypatch):
+        monkeypatch.setattr(core, "APERY_MODULUS_LIMIT", 11)
+        rows = []
+        real = verification._check_k
+        monkeypatch.setattr(verification, "_check_k",
+                            lambda fid, k: rows.append(k) or real(fid, k))
+        assert sweep_family("T1", 0, 1).all_match   # p(1) = 11 is at the limit
+        rows.clear()
+        with pytest.raises(BoundExceededError,
+                           match="^Apéry modulus 17 exceeds the engine limit 11$"):
+            sweep_family("T1", 0, 2)
+        assert rows == []
 
     def test_tabulated_type_is_checked(self, monkeypatch):
         monkeypatch.setitem(FAMILIES, "T1", dataclasses.replace(FAMILIES["T1"], type_value=3))
@@ -363,6 +393,14 @@ class TestFitConjecture:
         d = FAMILIES["T1"]
         with pytest.raises(InsufficientSamplesError):
             fit_conjecture(d.pattern, d.p_modulus, d.p_residue, max_p=20)
+
+    @pytest.mark.parametrize("max_samples", [-1, 0, 3])
+    def test_too_few_samples_asked_for_fails_before_sampling(self, monkeypatch, max_samples):
+        monkeypatch.setattr(verification, "make_semigroup", None)   # no sampling may run
+        d = FAMILIES["T1"]
+        with pytest.raises(InsufficientSamplesError, match=f"asked for {max_samples}$"):
+            fit_conjecture(d.pattern, d.p_modulus, d.p_residue, max_p=10 ** 4,
+                           max_samples=max_samples)
 
     def test_zero_modulus_is_a_domain_error(self):
         with pytest.raises(DomainError, match="p_modulus"):
