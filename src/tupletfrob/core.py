@@ -44,16 +44,16 @@ APERY_MODULUS_LIMIT = 10 ** 7
 _UNREACHED = 1 << 62
 
 
-def _int_at_least(x, least: int, error: type[Exception], what: str) -> int:
-    """x as a Python int if an integer >= least (0 or 1) and not a bool; else raises `error`."""
+def _int_at_least(x, least: int | None, error: type[Exception], what: str) -> int:
+    """x as a Python int if an integer >= least (None: any) and not a bool; else raises `error`."""
     try:
         value = operator.index(x)  # numpy bools have no __index__
     except TypeError:
-        value = least - 1
+        value = None
     # bool is an int subclass, but numpy refuses True as the Apéry table length
-    if isinstance(x, bool) or value < least:
-        sign = "positive" if least else "non-negative"
-        raise error(f"bad {what} {x!r}: must be a {sign} integer")
+    if isinstance(x, bool) or value is None or (least is not None and value < least):
+        kind = {None: "an", 0: "a non-negative", 1: "a positive"}[least]
+        raise error(f"bad {what} {x!r}: must be {kind} integer")
     return value
 
 
@@ -127,7 +127,6 @@ class SemigroupInvariants:
     genus: int
     pseudo_frobenius: tuple[int, ...]
     type_: int
-    embedding_dimension: int
     minimal_generators: GeneratorSet
 
     def __post_init__(self) -> None:
@@ -135,6 +134,10 @@ class SemigroupInvariants:
             raise ValueError("the Frobenius number must be the largest pseudo-Frobenius number")
         if self.type_ != len(self.pseudo_frobenius):
             raise ValueError("the type must count the pseudo-Frobenius numbers")
+
+    @property
+    def embedding_dimension(self) -> int:
+        return len(self.minimal_generators)
 
 
 def _check_apery_modulus(n: int) -> None:
@@ -276,20 +279,15 @@ class NumericalSemigroup:
                      if not any(0 < g - a and self.contains(g - a) for a in gens))
         return GeneratorSet(keep)
 
-    def embedding_dimension(self) -> int:
-        return len(self.minimal_generators())
-
     def invariants(self) -> SemigroupInvariants:
         """All classical invariants in one bundle (undefined for <1>)."""
         pf = self.pseudo_frobenius()
-        msg = self.minimal_generators()
         return SemigroupInvariants(
             frobenius=self.frobenius_number(),
             genus=self.genus(),
             pseudo_frobenius=pf,
             type_=len(pf),
-            embedding_dimension=len(msg),
-            minimal_generators=msg,
+            minimal_generators=self.minimal_generators(),
         )
 
 

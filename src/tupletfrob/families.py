@@ -21,15 +21,15 @@ from itertools import product
 import numpy as np
 
 from .core import (
-    APERY_MODULUS_LIMIT,
     AperySet,
     GeneratorSet,
     NumericalSemigroup,
     SemigroupInvariants,
+    _check_apery_modulus,
+    _int_at_least,
     make_semigroup,
 )
 from .errors import (
-    BoundExceededError,
     KBelowMinimumError,
     ResidueMismatchError,
     UnsupportedPatternError,
@@ -113,7 +113,7 @@ class FamilyDescriptor:
         return self.pf_in_k is not None
 
     def p_of_k(self, k: int) -> int:
-        return self.p_modulus * k + self.p_residue
+        return self.p_modulus * _int_at_least(k, None, TypeError, "k") + self.p_residue
 
     def generators(self, k: int) -> tuple[int, ...]:
         p = self.p_of_k(k)
@@ -182,6 +182,7 @@ def stated_at(family_id: str, k: int) -> dict:
     and the sorted `pseudo_frobenius`.  From type_k_min: `type`.
     """
     d = _family(family_id)
+    k = _int_at_least(k, None, TypeError, "k")
     facts = {}
     if k >= d.k_min:
         facts["frobenius"] = d.f_from_p.eval_int(d.p_of_k(k))
@@ -193,30 +194,30 @@ def stated_at(family_id: str, k: int) -> dict:
     return facts
 
 
-def _stated(family_id: str, k: int, *names: str) -> dict:
-    """stated_at(family_id, k), which must hold every fact named: the one k guard."""
+def _stated(family_id: str, k: int, name: str) -> dict:
+    """stated_at(family_id, k), which must hold the fact named: the one k guard."""
     facts = stated_at(family_id, k)
-    for name in names:
-        if name not in facts:
-            d = FAMILIES[family_id]
-            raise KBelowMinimumError(
-                f"{family_id} states no {name} at k={k}, p={d.p_of_k(k)} "
-                f"(k_min={d.k_min}, type_k_min={d.type_k_min})")
+    if name not in facts:
+        d = FAMILIES[family_id]
+        raise KBelowMinimumError(
+            f"{family_id} states no {name} at k={k}, p={d.p_of_k(k)} "
+            f"(k_min={d.k_min}, type_k_min={d.type_k_min})")
     return facts
 
 
-def _apery_family(family_id: str, k: int) -> FamilyDescriptor:
-    """The family, once its row states F at k and it has an Apéry closed form."""
-    _stated(family_id, k, "frobenius")
+def _apery_row(family_id: str, k: int) -> tuple[tuple[int, ...], dict]:
+    """Generators and stated facts at k, once the row states F there and has an Apéry form."""
+    facts = _stated(family_id, k, "frobenius")
     d = FAMILIES[family_id]
     if not d.has_apery_form:
         raise UnsupportedPatternError(
             f"family {family_id} has no closed-form Apéry set (only F(p) and the type)")
-    return d
+    return d.generators(k), facts
 
 
 def classify(p: int, pattern: OffsetPattern) -> tuple[str, int]:
     """Match (p, pattern) to a registered family and solve p = modulus*k + residue."""
+    p = _int_at_least(p, None, TypeError, "p")
     matching = [d for d in FAMILIES.values() if d.pattern == pattern]
     if not matching:
         raise UnsupportedPatternError(f"no registered family for pattern {pattern}")
@@ -289,7 +290,8 @@ _IDENTITIES = {
 
 def lemma_identities(family_id: str, k: int) -> bool:
     """Evaluate both sides of every generator identity of the family at k."""
-    gens = _apery_family(family_id, k).generators(k)
+    gens, _ = _apery_row(family_id, k)
+    k = _int_at_least(k, None, TypeError, "k")
     return all(lhs == rhs for lhs, rhs in _IDENTITIES[family_id](k, *gens))
 
 
@@ -349,19 +351,16 @@ def apery_closed_form(family_id: str, k: int) -> AperySet:
     Each box of the index set becomes one int64 array of values
     (sum of coefficient times generator, broadcast over the box), with the
     excluded combinations masked out; the values then fill the table by
-    residue.  The index set must have exactly `modulus` members and hit
-    every residue class once.
+    residue.  Every slot starts at `modulus`, which AperySet refuses in any
+    class, so an index set of `modulus` members that misses a class fails there.
 
-    A listing holds one entry per residue class of p(k), so p(k) above
-    core.APERY_MODULUS_LIMIT raises BoundExceededError before anything is
-    allocated, as the engine does.  Below it every listed value,
-    a sum of at most 2k + 4 generators, fits in int64.
+    p(k) above core.APERY_MODULUS_LIMIT raises the engine's BoundExceededError
+    before anything is allocated; below it every listed value, a sum of at
+    most 2k + 4 generators, fits in int64.
     """
-    gens = _apery_family(family_id, k).generators(k)
+    gens, _ = _apery_row(family_id, k)
     modulus = gens[0]
-    if modulus > APERY_MODULUS_LIMIT:
-        raise BoundExceededError(
-            f"Apéry modulus {modulus} exceeds the listing limit {APERY_MODULUS_LIMIT}")
+    _check_apery_modulus(modulus)
     pieces = []
     for box, excluded in _index_pieces(family_id, k):
         values = sum(np.ix_(*(np.arange(r.start, r.stop, dtype=np.int64) * g
@@ -373,11 +372,8 @@ def apery_closed_form(family_id: str, k: int) -> AperySet:
         pieces.append(values[keep])
     values = np.concatenate(pieces)
     assert values.size == modulus, "index set cardinality must equal the modulus"
-    slots = values % modulus
-    assert np.bincount(slots, minlength=modulus).max() == 1, \
-        "index set hit a residue class twice"
-    table = np.empty(modulus, dtype=np.int64)
-    table[slots] = values
+    table = np.full(modulus, modulus, dtype=np.int64)
+    table[values % modulus] = values
     return AperySet(modulus, tuple(table.tolist()))
 
 
@@ -402,12 +398,11 @@ def invariants_closed_form(family_id: str, k: int) -> SemigroupInvariants:
     engine = _engine_below_k_min(family_id, k)
     if engine is not None:
         return engine.invariants()
-    gens = _apery_family(family_id, k).generators(k)
-    facts = _stated(family_id, k, "genus", "pseudo_frobenius", "type")
+    gens, facts = _apery_row(family_id, k)
     return SemigroupInvariants(
         frobenius=facts["frobenius"], genus=facts["genus"],
         pseudo_frobenius=facts["pseudo_frobenius"], type_=facts["type"],
-        embedding_dimension=len(gens), minimal_generators=GeneratorSet(gens))
+        minimal_generators=GeneratorSet(gens))
 
 
 def frobenius_from_p(p: int, pattern: OffsetPattern) -> int:

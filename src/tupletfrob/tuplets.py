@@ -9,6 +9,7 @@ primes p + b_1, ..., p + b_k.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -209,13 +210,22 @@ def find_tuplets(
     allow_inadmissible is set.  Raises BoundExceededError, before allocating
     anything, when hi + diameter is above SIEVE_HEIGHT_LIMIT or the diameter
     is above SIEVE_DIAMETER_LIMIT.
-
-    Sieving is segmented: each window is extended by the pattern diameter so
-    every candidate p can be judged inside a single buffer.  The base primes
-    up to sqrt(hi + diameter) are sieved afresh on every call.
     """
+    lo = _int_at_least(lo, None, TypeError, "lo")
+    hi = _int_at_least(hi, None, TypeError, "hi")
     if lo > hi:
         raise ValueError("lo must not exceed hi")
+    return list(_segment_tuplets(pattern, lo, hi, require_consecutive, allow_inadmissible))
+
+
+def _segment_tuplets(pattern: OffsetPattern, lo: int, hi: int, require_consecutive: bool,
+                     allow_inadmissible: bool) -> Iterator[PrimeTuplet]:
+    """find_tuplets' instances in order; a segment is sieved once the one before is used up.
+
+    Each segment is extended by the pattern diameter so every candidate p can
+    be judged inside a single buffer.  The base primes up to
+    sqrt(hi + diameter) are sieved afresh on every call.
+    """
     diam = pattern.diameter
     if hi + diam > SIEVE_HEIGHT_LIMIT or diam > SIEVE_DIAMETER_LIMIT:
         raise BoundExceededError(
@@ -228,10 +238,9 @@ def find_tuplets(
             "pass allow_inadmissible=True to search anyway")
     lo = max(lo, 2)
     if lo > hi:
-        return []
+        return
     base_primes = _primes_up_to(math.isqrt(hi + diam))
     offsets = pattern.offsets
-    out: list[PrimeTuplet] = []
     seg_lo = lo
     while seg_lo <= hi:
         seg_hi = min(seg_lo + _SEGMENT_LENGTH - 1, hi)
@@ -245,6 +254,5 @@ def find_tuplets(
             # primes in (p, p + diameter]
             c = np.cumsum(flags)
             hits &= c[diam:diam + span] - c[:span] == len(offsets) - 1
-        out.extend(PrimeTuplet(seg_lo + i, pattern) for i in np.flatnonzero(hits).tolist())
+        yield from (PrimeTuplet(seg_lo + i, pattern) for i in np.flatnonzero(hits).tolist())
         seg_lo = seg_hi + 1
-    return out

@@ -16,10 +16,11 @@ from itertools import islice
 
 import numpy as np
 
-from .core import APERY_MODULUS_LIMIT, _check_apery_modulus, make_semigroup, validate_generators
+from . import core
+from .core import _check_apery_modulus, make_semigroup, validate_generators
 from .errors import BoundExceededError, DomainError, InsufficientSamplesError
 from .families import FAMILIES, QuadraticPoly, apery_closed_form, stated_at, _family
-from .tuplets import _SEGMENT_LENGTH, OffsetPattern, find_tuplets, is_admissible
+from .tuplets import OffsetPattern, _segment_tuplets, is_admissible
 
 __all__ = [
     "ConjectureFit",
@@ -285,20 +286,17 @@ def fit_conjecture(pattern: OffsetPattern, p_modulus: int, p_residue: int, *,
         max_p = min(max_p, max(p_modulus, pattern.size))
     start = max(min_p, 1)
     first = start + (p_residue - start) % p_modulus
-    top = min(max_p, APERY_MODULUS_LIMIT)
+    top = min(max_p, core.APERY_MODULUS_LIMIT)
     within = range(first, top + 1, p_modulus)
     candidates = within
     if primes_only:
-        # one sieve segment per call, so sieving stops soon after the last sample
-        candidates = (t.p for lo in range(first, top + 1, _SEGMENT_LENGTH)
-                      for t in find_tuplets(pattern, lo, min(lo + _SEGMENT_LENGTH - 1, top),
-                                            False, allow_inadmissible=True)
+        # the sieve stops at the segment holding the last sample
+        candidates = (t.p for t in _segment_tuplets(pattern, first, top, False, True)
                       if t.p in within)
     ps = list(islice(candidates, max_samples))
     beyond = first + len(within) * p_modulus
     if len(ps) < max_samples and beyond <= max_p:
-        raise BoundExceededError(
-            f"Apéry modulus {beyond} exceeds the engine limit {APERY_MODULUS_LIMIT}")
+        _check_apery_modulus(beyond)  # top is then the limit, so this raises
     if len(ps) < 4:
         raise InsufficientSamplesError(
             f"need at least 4 sample points in the class, found {len(ps)}")

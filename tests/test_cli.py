@@ -12,7 +12,8 @@ from pathlib import Path
 import pytest
 
 import tupletfrob
-from tupletfrob.cli import main
+from tupletfrob import verification
+from tupletfrob.cli import app, main
 
 SRC = str(Path(tupletfrob.__file__).resolve().parents[1])
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -270,6 +271,16 @@ class TestVerifyGroup:
         assert payload["result"]["all_match"] is True
         assert "wall_time_s" not in payload["result"]
 
+    def test_sweep_mismatch_text(self, capsys, monkeypatch):
+        real = verification.stated_at
+        monkeypatch.setattr(verification, "stated_at",
+                            lambda fid, k: {**real(fid, k), "genus": real(fid, k)["genus"] + 1})
+        code, out, _ = run(capsys, "verify", "sweep", "--family", "T1", "--k-range", "1..2")
+        assert code == 0
+        assert out == ("T1 k=1..2: 2 mismatches\n"
+                       "  k=1: {'genus': {'closed': 31, 'engine': 30}}\n"
+                       "  k=2: {'genus': {'closed': 65, 'engine': 64}}\n")
+
     def test_sweep_bad_range(self, capsys):
         code, _, err = run(capsys, "verify", "sweep", "--family", "T1", "--k-range", "5-3")
         assert code == 2
@@ -354,6 +365,16 @@ class TestVerifyGroup:
         code, _, err = run(capsys, "verify", "conjecture", "--pattern", "0,2,6,8",
                            "--max-p", "500")
         assert code == 2 and "--modulus" in err
+
+
+class TestConsoleScript:
+    def test_app_runs_main_on_sys_argv(self, capsys, monkeypatch):
+        # pyproject installs app as the tupletfrob command
+        monkeypatch.setattr(sys, "argv", ["tupletfrob", "sg", "frobenius", "--gens", "11,13,17"])
+        with pytest.raises(SystemExit) as info:
+            app()
+        assert info.value.code == 0
+        assert capsys.readouterr().out == "53\n"
 
 
 class TestEnvelope:

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from tupletfrob import (
@@ -26,7 +27,7 @@ from tupletfrob import (
     stated_at,
     type_from_family,
 )
-from tupletfrob import families
+from tupletfrob import core, families
 from tupletfrob.errors import (
     BoundExceededError,
     KBelowMinimumError,
@@ -34,6 +35,7 @@ from tupletfrob.errors import (
     UnsupportedPatternError,
 )
 from tupletfrob.families import _index_set, _index_set_size
+from tupletfrob.verification import sweep_family
 
 from test_cli import SRC, _two_gib_address_space
 
@@ -154,14 +156,23 @@ class TestAperyClosedForm:
             assert apery_closed_form(fid, k).table == tuple(table), k
 
     def test_listing_bound(self, monkeypatch):
-        monkeypatch.setattr(families, "APERY_MODULUS_LIMIT", 11)
+        monkeypatch.setattr(core, "APERY_MODULUS_LIMIT", 11)
         assert apery_closed_form("T1", 1).modulus == 11
         assert apery_grouped("T1", 1)
         for listing in (apery_closed_form, apery_grouped):
-            with pytest.raises(BoundExceededError, match="listing limit"):
+            with pytest.raises(BoundExceededError, match="engine limit"):
                 listing("T1", 2)
         # the invariants are polynomials and need no listing
         assert invariants_closed_form("T1", 2).frobenius == 12 * 4 + 28 * 2 + 13
+
+    def test_index_set_hitting_a_class_twice_is_refused(self, monkeypatch):
+        # T1 at k = 1 lists a*13 + b*17, in class 2a + 6b mod 11: (3, 1) lands on
+        # the class of (0, 2), and with (0, 1) left out nothing lands on class 6
+        monkeypatch.setattr(families, "_index_pieces", lambda fid, k: [
+            ((range(3), range(4)), frozenset({(0, 1), (2, 3)})),
+            ((range(3, 4), range(1, 2)), frozenset())])
+        with pytest.raises(ValueError, match=r"^table\[6\] = 11 is not congruent to 6 mod 11$"):
+            apery_closed_form("T1", 1)
 
     def test_listing_bound_raises_before_allocating(self):
         # p = 6 * 10**8 + 5: a table of that many entries would not fit under the cap
@@ -253,6 +264,48 @@ class TestStatedAt:
                 call()
             assert str(info.value) == (f"{fid} states no {fact} at k={k}, p={p} "
                                        f"(k_min={d.k_min}, type_k_min={d.type_k_min})")
+
+    def test_invariants_read_the_row_twice(self, monkeypatch):
+        # once to pick engine or closed form, once behind the closed form's k guard
+        calls = []
+        real = families.stated_at
+        monkeypatch.setattr(families, "stated_at",
+                            lambda fid, k: calls.append((fid, k)) or real(fid, k))
+        assert invariants_closed_form("Q1", 100).genus == 2 * 100 ** 2 + 8 * 100 + 7
+        assert calls == [("Q1", 100)] * 2
+
+
+class TestNumpyIntegers:
+    """Family k and p become Python ints, so numpy int64 arithmetic cannot wrap."""
+
+    def test_stated_at(self):
+        facts = stated_at("T1", np.int64(10 ** 9))
+        assert facts == stated_at("T1", 10 ** 9)
+        assert all(type(v) is int for v in (facts["frobenius"], facts["genus"],
+                                            *facts["pseudo_frobenius"]))
+
+    def test_generators(self):
+        gens = FAMILIES["T1"].generators(np.int64(2 ** 61))
+        assert gens == FAMILIES["T1"].generators(2 ** 61)
+        assert all(type(g) is int and g > 0 for g in gens)
+
+    def test_lemma_identities(self):
+        assert lemma_identities("T1", np.int64(10 ** 9))
+
+    def test_classify(self):
+        family_id, k = classify(np.int64(4 * 10 ** 18 + 5), OffsetPattern((0, 2, 6, 8)))
+        assert (family_id, k) == ("Q1", 10 ** 18) and type(k) is int
+
+    def test_sweep_past_the_engine_limit_fails_at_once(self):
+        with pytest.raises(BoundExceededError, match="exceeds the engine limit"):
+            sweep_family("T1", 0, np.int64(2 ** 62))
+
+    @pytest.mark.parametrize("k", [True, np.True_, 1.0, "1"])
+    def test_non_integers_are_refused(self, k):
+        for call in (lambda: stated_at("T1", k), lambda: FAMILIES["T1"].p_of_k(k),
+                     lambda: classify(k, OffsetPattern((0, 2, 6)))):
+            with pytest.raises(TypeError, match="must be an integer"):
+                call()
 
 
 class TestFrobeniusFromP:
@@ -388,6 +441,12 @@ class TestRegistry:
         assert by_id["T1"]["frobenius_in_p"] == {"a2": [1, 3], "a1": [4, 3], "a0": [-2, 1]}
         assert by_id["Sex37"]["pattern"] == [0, 4, 6, 10, 12, 16]
         assert by_id["Sep2"]["type"] == 11
+
+    def test_apery_rows_state_the_type_from_k_min(self):
+        # invariants_closed_form reads the type behind the k_min guard alone
+        for d in FAMILIES.values():
+            if d.has_apery_form:
+                assert d.type_k_min <= d.k_min, d.id
 
     def test_generators_reproduce_patterns(self):
         for d in FAMILIES.values():

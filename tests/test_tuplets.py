@@ -287,6 +287,19 @@ class TestSieveHeightBound:
                 tracemalloc.stop()
             assert peak < 1 << 20
 
+    @pytest.mark.parametrize("lo", [np.int64(2 ** 63 - 10), np.int64(2 ** 63 - 1)])
+    def test_numpy_bounds_near_2_63_are_above_the_limit(self, lo):
+        # hi + diameter would wrap below the limit in int64
+        with pytest.raises(BoundExceededError, match="sieve limit"):
+            find_tuplets(OffsetPattern((0, 2, 6)), lo, np.int64(2 ** 63 - 1))
+
+    def test_numpy_bounds_give_python_ints(self):
+        found = find_tuplets(OffsetPattern((0, 2, 6)), np.int64(5), np.int64(200))
+        assert found == find_tuplets(OffsetPattern((0, 2, 6)), 5, 200)
+        assert all(type(t.p) is int for t in found)
+        with pytest.raises(TypeError, match="must be an integer"):
+            find_tuplets(OffsetPattern((0, 2, 6)), True, 200)
+
     def test_limit_applies_to_hi_plus_diameter(self):
         pattern = OffsetPattern((0, 2, 6))
         with pytest.raises(BoundExceededError):

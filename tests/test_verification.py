@@ -16,6 +16,8 @@ from tupletfrob import (
     NumericalSemigroup,
     OffsetPattern,
     QuadraticPoly,
+    apery_closed_form,
+    apery_grouped,
     fit_conjecture,
     is_prime,
     make_semigroup,
@@ -310,6 +312,17 @@ class TestSweep:
                            match="^Apéry modulus 17 exceeds the engine limit 11$"):
             sweep_family("T1", 0, 2)
         assert rows == []
+
+    def test_every_apery_modulus_check_has_the_engine_message(self, monkeypatch):
+        monkeypatch.setattr(core, "APERY_MODULUS_LIMIT", 16)
+        t1 = FAMILIES["T1"]
+        for call in (lambda: apery_closed_form("T1", 2), lambda: apery_grouped("T1", 2),
+                     lambda: sweep_family("T1", 0, 2),
+                     lambda: fit_conjecture(t1.pattern, 6, 5, max_p=100),
+                     lambda: make_semigroup(t1.generators(2)).frobenius_number()):
+            with pytest.raises(BoundExceededError) as info:
+                call()
+            assert str(info.value) == "Apéry modulus 17 exceeds the engine limit 16"
 
     def test_tabulated_type_is_checked(self, monkeypatch):
         monkeypatch.setitem(FAMILIES, "T1", dataclasses.replace(FAMILIES["T1"], type_value=3))
