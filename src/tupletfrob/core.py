@@ -99,21 +99,33 @@ class GeneratorSet:
 
 @dataclass(frozen=True)
 class AperySet:
-    """Residue-indexed table: table[i] is the least member congruent to i mod modulus."""
+    """Residue-indexed table: table[i] is the least member congruent to i mod modulus.
+
+    The table may be any integer sequence or array.  It is stored as a
+    tuple, of Python ints when given an integer array or Python ints.
+    """
 
     modulus: int
     table: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        n = self.modulus
-        if n < 1 or len(self.table) != n:
+        n = _int_at_least(self.modulus, None, ValueError, "modulus")
+        table = np.asarray(self.table)
+        if table.dtype != np.int64:
+            # numpy 2 rounds ints past int64 to float64; object keeps them exact
+            table = np.asarray(self.table, dtype=object)
+        if n < 1 or table.shape != (n,):
             raise ValueError("table length must equal the modulus")
-        if self.table[0] != 0:
+        if table[0] != 0:
             raise ValueError("the residue class of 0 must hold 0")
-        for i, w in enumerate(self.table):
-            if w % n != i:
-                raise ValueError(f"table[{i}] = {w} is not congruent to {i} mod {n}")
-        # one entry per residue class forces all n values distinct
+        wrong = np.flatnonzero(table % n != np.arange(n))
+        if wrong.size:
+            i = wrong[0]
+            raise ValueError(f"table[{i}] = {table[i]} is not congruent to {i} mod {n}")
+        # one entry per residue class forces all n values distinct; the check's
+        # temporaries are freed before tolist builds the stored tuple
+        object.__setattr__(self, "modulus", n)
+        object.__setattr__(self, "table", tuple(table.tolist()))
 
     @property
     def elements(self) -> tuple[int, ...]:
@@ -213,6 +225,7 @@ class NumericalSemigroup:
 
     def contains(self, x: int) -> bool:
         """Membership test; negative integers are never members."""
+        x = _int_at_least(x, None, TypeError, "x")
         if x < 0:
             return False
         return x >= int(self._table[x % self.multiplicity])
@@ -223,10 +236,11 @@ class NumericalSemigroup:
     def apery_set(self, n: int | None = None) -> AperySet:
         """Apéry set with respect to n, a nonzero element (default: multiplicity)."""
         if n is None or n == self.multiplicity:
-            return AperySet(self.multiplicity, tuple(self._table.tolist()))
+            return AperySet(self.multiplicity, self._table)
+        n = _int_at_least(n, None, ModulusNotInSemigroupError, "modulus")
         if n < 1 or not self.contains(n):
             raise ModulusNotInSemigroupError(f"{n} is not a nonzero element of the semigroup")
-        return AperySet(n, tuple(_residue_table(n, self.generators.elements).tolist()))
+        return AperySet(n, _residue_table(n, self.generators.elements))
 
     def frobenius_number(self) -> int:
         """Largest integer outside the semigroup; -1 when there are no gaps."""

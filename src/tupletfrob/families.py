@@ -374,7 +374,7 @@ def apery_closed_form(family_id: str, k: int) -> AperySet:
     assert values.size == modulus, "index set cardinality must equal the modulus"
     table = np.full(modulus, modulus, dtype=np.int64)
     table[values % modulus] = values
-    return AperySet(modulus, tuple(table.tolist()))
+    return AperySet(modulus, table)
 
 
 def _engine_below_k_min(family_id: str, k: int) -> NumericalSemigroup | None:

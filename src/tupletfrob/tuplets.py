@@ -133,6 +133,7 @@ def smallest_diameter(k: int) -> tuple[int, list[OffsetPattern]]:
 
 def is_prime(n: int) -> bool:
     """Deterministic primality for 0 <= n < 2**64."""
+    n = _int_at_least(n, None, TypeError, "n")
     if n >= _MR_LIMIT:
         raise ValueError("primality test supports n < 2**64 only")
     if n < 2:
@@ -166,7 +167,8 @@ class PrimeTuplet:
     pattern: OffsetPattern
 
     def __post_init__(self) -> None:
-        composite = [self.p + b for b in self.pattern.offsets if not is_prime(self.p + b)]
+        object.__setattr__(self, "p", _int_at_least(self.p, None, TypeError, "p"))
+        composite = [q for q in self.primes if not is_prime(q)]
         if composite:
             raise ValueError(f"not a prime tuplet at p={self.p}: {composite} are composite")
 

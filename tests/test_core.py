@@ -2,8 +2,10 @@
 
 import math
 import random
+import re
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from tupletfrob import GeneratorSet, make_semigroup, oracle_frobenius
@@ -101,6 +103,32 @@ class TestAperySet:
                                ((0, 11, 8, 13, 14), "table\\[2\\] = 8 is not congruent")):
             with pytest.raises(ValueError, match=message):
                 AperySet(5, table)
+
+    @pytest.mark.parametrize("convert", [list, lambda t: np.array(t, dtype=np.int64)],
+                             ids=["list", "int64-array"])
+    def test_any_integer_sequence_is_checked_and_stored_as_a_tuple(self, convert):
+        ap = AperySet(5, convert((0, 11, 7, 13, 14)))
+        assert type(ap.table) is tuple and all(type(w) is int for w in ap.table)
+        assert hash(ap) == hash(AperySet(5, (0, 11, 7, 13, 14)))
+        for table, message in (((0, 11, 7, 13), "length"), ((5, 11, 7, 13, 14), "hold 0"),
+                               ((0, 11, 8, 13, 14), "table[2] = 8 is not congruent to 2 mod 5")):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                AperySet(5, convert(table))
+
+    def test_numpy_modulus_is_stored_as_a_python_int(self):
+        assert type(AperySet(np.int64(5), (0, 11, 7, 13, 14)).modulus) is int
+        with pytest.raises(ValueError, match="must be an integer"):
+            AperySet(5.0, (0, 11, 7, 13, 14))
+
+    @pytest.mark.parametrize("big", [2 ** 63 + 1, 2 ** 70 + 1])
+    def test_values_past_int64_stay_exact(self, big):
+        # numpy 2 would hold (0, 2**63 + 1) as float64
+        assert AperySet(2, (0, big)).table == (0, big)
+
+    def test_values_past_int64_are_checked_exactly(self):
+        big = 2 ** 63 + 2
+        with pytest.raises(ValueError, match=re.escape(f"table[1] = {big} is not congruent")):
+            AperySet(2, (0, big))
 
     def test_defining_property_random(self):
         rng = random.Random(1)
@@ -226,6 +254,15 @@ class TestEngineBounds:
             with pytest.raises(BoundExceededError, match="2\\*\\*62"):
                 make_semigroup(gens).frobenius_number()
 
+    def test_numpy_modulus_gets_the_python_int_guard(self):
+        # (10**6 - 1) * (3*10**13 + 1) wraps in int64 and would slip past the guard
+        s = make_semigroup([2, 3 * 10 ** 13 + 1])
+        with pytest.raises(BoundExceededError) as python_int:
+            s.apery_set(10 ** 6)
+        with pytest.raises(BoundExceededError) as numpy_int:
+            s.apery_set(np.int64(10 ** 6))
+        assert str(numpy_int.value) == str(python_int.value)
+
 
 class TestMembership:
     def test_frobenius_boundary(self):
@@ -238,6 +275,19 @@ class TestMembership:
         assert s.contains(0)
         assert not s.contains(-1)
         assert 0 in s and -5 not in s
+
+    def test_numpy_integers_are_accepted(self):
+        s = make_semigroup([11, 13, 17])
+        assert s.contains(np.int64(54)) and not s.contains(np.int64(53))
+        assert s.apery_set(np.int64(24)) == s.apery_set(24)
+
+    @pytest.mark.parametrize("x", [7.0, True, np.bool_(True), "7"])
+    def test_non_integers_are_refused(self, x):
+        s = make_semigroup([11, 13, 17])
+        with pytest.raises(TypeError, match="must be an integer"):
+            s.contains(x)
+        with pytest.raises(ModulusNotInSemigroupError, match="must be an integer"):
+            s.apery_set(x)
 
     def test_matches_exhaustive_enumeration(self):
         # independent oracle: grow the sum-closure set directly

@@ -132,6 +132,15 @@ class TestIsPrime:
         with pytest.raises(ValueError):
             is_prime(1 << 64)
 
+    def test_numpy_integers_are_accepted(self):
+        assert is_prime(np.int64(1000003)) is True
+        assert is_prime(np.uint64(18446744073709551557)) is True
+
+    @pytest.mark.parametrize("n", [True, 1.5, 7.0, np.bool_(True)])
+    def test_non_integers_are_refused(self, n):
+        with pytest.raises(TypeError, match="must be an integer"):
+            is_prime(n)
+
 
 class TestPrimeTuplet:
     def test_members(self):
@@ -141,6 +150,13 @@ class TestPrimeTuplet:
     def test_rejects_composite_members(self):
         with pytest.raises(ValueError):
             PrimeTuplet(7, OffsetPattern((0, 2, 6)))  # 9 is composite
+
+    def test_numpy_p_is_stored_as_a_python_int(self):
+        t = PrimeTuplet(np.int64(11), OffsetPattern((0, 2, 6)))
+        assert type(t.p) is int and all(type(q) is int for q in t.primes)
+        assert t == PrimeTuplet(11, OffsetPattern((0, 2, 6)))
+        with pytest.raises(TypeError, match="must be an integer"):
+            PrimeTuplet(11.0, OffsetPattern((0, 2, 6)))
 
 
 class TestFindTuplets:
