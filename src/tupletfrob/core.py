@@ -102,7 +102,7 @@ class AperySet:
     """Residue-indexed table: table[i] is the least member congruent to i mod modulus.
 
     The table may be any integer sequence or array.  It is stored as a
-    tuple, of Python ints when given an integer array or Python ints.
+    tuple of Python ints; an entry that is not an integer is refused.
     """
 
     modulus: int
@@ -113,7 +113,8 @@ class AperySet:
         table = np.asarray(self.table)
         if table.dtype != np.int64:
             # numpy 2 rounds ints past int64 to float64; object keeps them exact
-            table = np.asarray(self.table, dtype=object)
+            table = np.array([_int_at_least(x, None, ValueError, "table entry")
+                              for x in self.table], dtype=object)
         if n < 1 or table.shape != (n,):
             raise ValueError("table length must equal the modulus")
         if table[0] != 0:
@@ -235,9 +236,10 @@ class NumericalSemigroup:
 
     def apery_set(self, n: int | None = None) -> AperySet:
         """Apéry set with respect to n, a nonzero element (default: multiplicity)."""
+        if n is not None:
+            n = _int_at_least(n, None, ModulusNotInSemigroupError, "modulus")
         if n is None or n == self.multiplicity:
             return AperySet(self.multiplicity, self._table)
-        n = _int_at_least(n, None, ModulusNotInSemigroupError, "modulus")
         if n < 1 or not self.contains(n):
             raise ModulusNotInSemigroupError(f"{n} is not a nonzero element of the semigroup")
         return AperySet(n, _residue_table(n, self.generators.elements))

@@ -28,21 +28,30 @@ __all__ = [
     "smallest_diameter",
 ]
 
-# Deterministic Miller-Rabin witness set for the full 64-bit range.
+# Miller-Rabin witnesses: the first `count` bases are exact for every n below
+# `bound` (OEIS A014233, the least strong pseudoprimes to the first primes),
+# and all twelve for the full 64-bit range.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_LIMIT = 1 << 64
+_MR_WITNESS_COUNTS = ((1_373_653, 2), (25_326_001, 3), (3_215_031_751, 4),
+                      (2_152_302_898_747, 5), (3_474_749_660_383, 6),
+                      (341_550_071_728_321, 7), (3_825_123_056_546_413_051, 9),
+                      (_MR_LIMIT, 12))
 
 # find_tuplets refuses windows whose top (hi + pattern diameter) is above this.
-# At the limit the base-prime sieve covers isqrt(10^16) = 10^8 entries (100 MB
-# of flags), and every p^2 and ceil(lo/p)*p of the window marking fits in
+# At the limit the odd-only base-prime sieve covers isqrt(10^16) / 2 = 5*10^7
+# flags (50 MB), and every p^2 and ceil(lo/p)*p of the window marking fits in
 # int64.  The Apéry engine's own bound is core.APERY_MODULUS_LIMIT.
 SIEVE_HEIGHT_LIMIT = 10 ** 16
 # Numbers per sieve segment; each segment's buffer also holds the diameter.
 _SEGMENT_LENGTH = 1 << 18
+# Base primes above the square root of a window are marked this many at a time.
+_MARK_BLOCK = 4096
 # find_tuplets also refuses patterns wider than this.  A segment buffer holds
-# 2^18 + diameter numbers: one byte of flags each, plus 8 bytes each for the
-# int64 cumsum of the consecutive test, so at the limit a segment peaks near
-# 9 * 1.26e6 bytes, about 11 MB, plus 2 MB for the span-long difference.
+# 2^18 + diameter numbers, one byte of flags each.  At the limit its marking
+# peaks near 13 MB: the first block of base primes above sqrt(1.26e6) has
+# about 5e5 multiples in the window, listed in three int64 arrays.  The int32
+# cumsum of the consecutive test comes later and needs 5 MB.
 SIEVE_DIAMETER_LIMIT = 10 ** 6
 
 
@@ -89,12 +98,20 @@ class AdmissibilityReport:
 def _primes_up_to(n: int) -> np.ndarray:
     """All primes <= n, ascending, as an int64 array.
 
-    _sieve_flags sieves [2, n] with the primes up to isqrt(n), found the same way.
+    An odd-only sieve: flag i stands for 2i + 1, and flag 0 (for 1) stands for 2.
     """
     if n < 2:
         return np.empty(0, dtype=np.int64)
-    flags = _sieve_flags(2, n, _primes_up_to(math.isqrt(n)))
-    return (np.flatnonzero(flags) + 2).astype(np.int64, copy=False)
+    odd = np.ones((n + 1) // 2, dtype=bool)
+    for i in range(1, (math.isqrt(n) + 1) // 2):
+        if odd[i]:
+            p = 2 * i + 1
+            odd[p * p // 2::p] = False
+    primes = np.flatnonzero(odd).astype(np.int64, copy=False)
+    primes *= 2
+    primes += 1
+    primes[0] = 2
+    return primes
 
 
 def is_admissible(pattern: OffsetPattern) -> AdmissibilityReport:
@@ -132,7 +149,13 @@ def smallest_diameter(k: int) -> tuple[int, list[OffsetPattern]]:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality for 0 <= n < 2**64."""
+    """Deterministic primality for 0 <= n < 2**64.
+
+    Miller-Rabin with the fewest of the prime bases 2, 3, ..., 37 that is
+    exact below n's bound in _MR_WITNESS_COUNTS: the least strong
+    pseudoprimes to the first primes (OEIS A014233; G. Jaeschke, Math. Comp.
+    61, 1993; J. Sorenson and J. Webster, Math. Comp. 86, 2017).
+    """
     n = _int_at_least(n, None, TypeError, "n")
     if n >= _MR_LIMIT:
         raise ValueError("primality test supports n < 2**64 only")
@@ -146,7 +169,8 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_BASES:
+    count = next(count for bound, count in _MR_WITNESS_COUNTS if n < bound)
+    for a in _MR_BASES[:count]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -181,18 +205,30 @@ def _sieve_flags(lo: int, hi: int, base_primes: np.ndarray) -> np.ndarray:
     """Primality flags for the window [lo, hi], lo >= 2.
 
     base_primes must hold every prime up to isqrt(hi).  A prime no larger
-    than the window crosses off its multiples with one slice; a larger one
-    has at most one multiple in the window, so those are crossed off
-    together with one fancy-index store.
+    than the square root of the window size crosses off its multiples with
+    one slice.  The larger ones have few multiples each: they are listed
+    _MARK_BLOCK primes at a time and crossed off with one fancy-index store.
+    Each prime p starts at the larger of p^2 and its first multiple >= lo,
+    ceil(lo/p)*p, whose offset in the window is -lo mod p.
     """
     size = hi - lo + 1
     flags = np.ones(size, dtype=bool)
-    starts = np.maximum(base_primes * base_primes, -(-lo // base_primes) * base_primes)
-    small = np.searchsorted(base_primes, size, side="right")
-    for p, start in zip(base_primes[:small].tolist(), starts[:small].tolist()):
-        flags[start - lo::p] = False
-    large = starts[small:]
-    flags[large[large <= hi] - lo] = False
+    small = np.searchsorted(base_primes, math.isqrt(size), side="right")
+    for p in base_primes[:small].tolist():
+        flags[max(p * p - lo, -lo % p)::p] = False
+    for i in range(small, len(base_primes), _MARK_BLOCK):
+        q = base_primes[i:i + _MARK_BLOCK]
+        first = np.maximum(q * q - lo, -lo % q)
+        if q[0] >= size:  # at most one multiple each
+            flags[first[first < size]] = False
+            continue
+        counts = np.maximum((size - 1 - first) // q + 1, 0)
+        ends = np.cumsum(counts)
+        # entry t of the list is first + (t - start) * q for its prime q, where
+        # start = ends - counts counts the entries of the primes before q
+        multiples = np.repeat(first - (ends - counts) * q, counts)
+        multiples += np.arange(ends[-1]) * np.repeat(q, counts)
+        flags[multiples] = False
     return flags
 
 
@@ -225,7 +261,8 @@ def _segment_tuplets(pattern: OffsetPattern, lo: int, hi: int, require_consecuti
     """find_tuplets' instances in order; a segment is sieved once the one before is used up.
 
     Each segment is extended by the pattern diameter so every candidate p can
-    be judged inside a single buffer.  The base primes up to
+    be judged inside a single buffer, and its consecutive test counts primes
+    with an int32 cumsum of that buffer.  The base primes up to
     sqrt(hi + diameter) are sieved afresh on every call.
     """
     diam = pattern.diameter
@@ -254,7 +291,7 @@ def _segment_tuplets(pattern: OffsetPattern, lo: int, hi: int, require_consecuti
         if require_consecutive:
             # p is prime, so the other k - 1 pattern primes must be the only
             # primes in (p, p + diameter]
-            c = np.cumsum(flags)
+            c = np.cumsum(flags, dtype=np.int32)
             hits &= c[diam:diam + span] - c[:span] == len(offsets) - 1
         yield from (PrimeTuplet(seg_lo + i, pattern) for i in np.flatnonzero(hits).tolist())
         seg_lo = seg_hi + 1

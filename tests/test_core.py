@@ -125,6 +125,15 @@ class TestAperySet:
         # numpy 2 would hold (0, 2**63 + 1) as float64
         assert AperySet(2, (0, big)).table == (0, big)
 
+    def test_entries_past_int64_are_converted_to_python_ints(self):
+        ap = AperySet(2, [np.int64(0), 2 ** 70 + 1])
+        assert ap.table == (0, 2 ** 70 + 1) and all(type(w) is int for w in ap.table)
+
+    @pytest.mark.parametrize("table", [(0, 1.0), (0, 2 ** 70 + 1.0), (0, "1")])
+    def test_non_integer_entries_are_refused(self, table):
+        with pytest.raises(ValueError, match="bad table entry .*: must be an integer"):
+            AperySet(2, table)
+
     def test_values_past_int64_are_checked_exactly(self):
         big = 2 ** 63 + 2
         with pytest.raises(ValueError, match=re.escape(f"table[1] = {big} is not congruent")):
@@ -280,6 +289,16 @@ class TestMembership:
         s = make_semigroup([11, 13, 17])
         assert s.contains(np.int64(54)) and not s.contains(np.int64(53))
         assert s.apery_set(np.int64(24)) == s.apery_set(24)
+
+    def test_the_multiplicity_passes_the_same_integer_check(self):
+        # n equal to the multiplicity once skipped the check: 11.0 answered, 13.0 raised
+        s = make_semigroup([11, 13, 17])
+        assert s.apery_set(np.int64(11)) == s.apery_set(11) == s.apery_set()
+        for n in (11.0, 13.0):
+            with pytest.raises(ModulusNotInSemigroupError, match="must be an integer"):
+                s.apery_set(n)
+        with pytest.raises(ModulusNotInSemigroupError, match="must be an integer"):
+            make_semigroup([1]).apery_set(True)
 
     @pytest.mark.parametrize("x", [7.0, True, np.bool_(True), "7"])
     def test_non_integers_are_refused(self, x):

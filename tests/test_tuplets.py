@@ -1,5 +1,6 @@
 """Constellation tests: admissibility, s(k), primality, sieving."""
 
+import math
 import random
 import tracemalloc
 from itertools import combinations
@@ -16,7 +17,12 @@ from tupletfrob import (
     smallest_diameter,
 )
 from tupletfrob.errors import BoundExceededError, KTooLargeError, NotAdmissibleError
-from tupletfrob.tuplets import SIEVE_DIAMETER_LIMIT, SIEVE_HEIGHT_LIMIT, _primes_up_to
+from tupletfrob.tuplets import (
+    SIEVE_DIAMETER_LIMIT,
+    SIEVE_HEIGHT_LIMIT,
+    _primes_up_to,
+    _sieve_flags,
+)
 
 # the 8 tightest patterns of 3 to 7 primes, as smallest_diameter(3..7) lists them
 TIGHTEST = [p.offsets for k in range(3, 8) for p in smallest_diameter(k)[1]]
@@ -127,6 +133,18 @@ class TestIsPrime:
         assert not is_prime(341550071728321)
         assert not is_prime(3825123056546413051)
         assert is_prime(2 ** 61 - 1)
+
+    # the least strong pseudoprimes to the first 2, 3, 4, 5, 6, 7 and 9 prime
+    # bases (OEIS A014233): is_prime takes one more witness from each one up
+    @pytest.mark.parametrize("bound", [1373653, 25326001, 3215031751, 2152302898747,
+                                       3474749660383, 341550071728321,
+                                       3825123056546413051])
+    def test_witness_set_boundaries(self, bound):
+        import sympy  # slow to import, so only where it is used
+        largest = sympy.prevprime(bound)
+        for n in (bound, largest, bound - 2, bound + 2):
+            assert is_prime(n) == sympy.isprime(n), n
+        assert not is_prime(bound) and is_prime(largest)
 
     def test_range_guard(self):
         with pytest.raises(ValueError):
@@ -288,6 +306,47 @@ class TestSieveAgainstMillerRabin:
         assert want and [t.p for t in find_tuplets(pattern, lo, hi, False)] == want
         # many primes lie between p and p + 10^6, so no consecutive instance exists
         assert find_tuplets(pattern, lo, hi) == []
+
+
+class TestSieveFlags:
+    """_sieve_flags against is_prime where its slice loop hands over to its blocks."""
+
+    @staticmethod
+    def assert_flags(lo, hi):
+        flags = _sieve_flags(lo, hi, _primes_up_to(math.isqrt(hi)))
+        assert flags.tolist() == [is_prime(n) for n in range(lo, hi + 1)], (lo, hi)
+
+    @pytest.mark.parametrize("lo", [2, 3, 1000, 10 ** 9 + 7, 10 ** 13 + 1])
+    @pytest.mark.parametrize("q", [2, 3, 7, 31, 101])
+    def test_window_sizes_around_a_prime_square(self, lo, q):
+        # q is crossed off by a slice when the size is q^2 or more, else in a block
+        for size in (q * q - 1, q * q, q * q + 1):
+            self.assert_flags(lo, lo + size - 1)
+
+    # lo < isqrt(hi): base primes lie inside the window and must stay flagged;
+    # 41 in (40, 1700) and 97 in (97, 9409) are marked in a block, from q^2
+    @pytest.mark.parametrize("lo, hi", [(2, 50), (5, 130), (40, 1700), (41, 1719),
+                                        (90, 9497), (97, 9409), (2, 10 ** 5), (300, 10 ** 5)])
+    def test_base_primes_inside_the_window(self, lo, hi):
+        self.assert_flags(lo, hi)
+
+    def test_width_one_windows(self):
+        rng = random.Random(1717)
+        squares = [q * q for q in (2, 3, 5, 1009, 1000003, 99999989)]
+        for n in [2, 3, 4, 97, 10 ** 9 + 7, 10 ** 15 + 37, *squares,
+                  *(rng.randrange(2, 10 ** rng.randint(2, 15)) for _ in range(40))]:
+            self.assert_flags(n, n)
+
+    def test_a_high_window_peaks_below_6_mib(self):
+        # the base primes up to 3.2e6 and one segment's marking, a septuplet at 10^13
+        pattern = OffsetPattern((0, 2, 6, 8, 12, 18, 20))
+        tracemalloc.start()
+        try:
+            find_tuplets(pattern, 10 ** 13, 10 ** 13 + 199_999)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 << 20
 
 
 class TestSieveHeightBound:
