@@ -168,7 +168,9 @@ def _run_verify(args, params: dict) -> tuple[object, str]:
             text = "\n".join(lines)
     else:  # conjecture
         pattern = args.pattern
-        if args.modulus is None or args.residue is None:
+        if (args.modulus is None) != (args.residue is None):
+            args.parser.error("--modulus and --residue must be given together")
+        if args.modulus is None:
             registered = [d for d in FAMILIES.values() if d.pattern == pattern]
             if len(registered) != 1:
                 args.parser.error("--modulus/--residue are required unless the pattern "

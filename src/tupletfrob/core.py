@@ -102,7 +102,8 @@ class AperySet:
     """Residue-indexed table: table[i] is the least member congruent to i mod modulus.
 
     The table may be any integer sequence or array.  It is stored as a
-    tuple of Python ints; an entry that is not an integer is refused.
+    tuple of Python ints; an entry that is not an integer (a bool included)
+    is refused.
     """
 
     modulus: int
@@ -110,11 +111,11 @@ class AperySet:
 
     def __post_init__(self) -> None:
         n = _int_at_least(self.modulus, None, ValueError, "modulus")
-        table = np.asarray(self.table)
-        if table.dtype != np.int64:
-            # numpy 2 rounds ints past int64 to float64; object keeps them exact
+        table = self.table
+        if not (isinstance(table, np.ndarray) and table.dtype == np.int64):
+            # every entry passes the integer check; object keeps ints past int64 exact
             table = np.array([_int_at_least(x, None, ValueError, "table entry")
-                              for x in self.table], dtype=object)
+                              for x in table], dtype=object)
         if n < 1 or table.shape != (n,):
             raise ValueError("table length must equal the modulus")
         if table[0] != 0:

@@ -385,7 +385,8 @@ def _engine_below_k_min(family_id: str, k: int) -> NumericalSemigroup | None:
     closed forms, with their k guard, apply.
     """
     d = _family(family_id)
-    if d.has_apery_form and k >= 0 and "frobenius" not in stated_at(family_id, k):
+    k = _int_at_least(k, None, TypeError, "k")
+    if d.has_apery_form and 0 <= k < d.k_min:
         return make_semigroup(d.generators(k))
     return None
 

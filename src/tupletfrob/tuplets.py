@@ -132,8 +132,10 @@ def smallest_diameter(k: int) -> tuple[int, list[OffsetPattern]]:
 
     Admissible patterns use even offsets only (an odd offset together with 0
     covers both classes mod 2), so the exhaustive search enumerates even
-    interiors in increasing diameter.
+    interiors in increasing diameter.  A k that is not an integer raises
+    TypeError.
     """
+    k = _int_at_least(k, None, TypeError, "k")
     if not 2 <= k <= 10:
         raise KTooLargeError("k must be between 2 and 10")
     d = 2 * (k - 1)

@@ -17,7 +17,7 @@ from itertools import islice
 import numpy as np
 
 from . import core
-from .core import _check_apery_modulus, make_semigroup, validate_generators
+from .core import _check_apery_modulus, _int_at_least, make_semigroup, validate_generators
 from .errors import BoundExceededError, DomainError, InsufficientSamplesError
 from .families import FAMILIES, QuadraticPoly, apery_closed_form, stated_at, _family
 from .tuplets import OffsetPattern, _segment_tuplets, is_admissible
@@ -211,8 +211,11 @@ def sweep_family(family_id: str, k_lo: int, k_hi: int, *,
     Rows are checked serially, in order of k.  A row takes a few
     milliseconds, and a thread pool made sweeps slower, so `workers` is
     ignored; it stays only because the sweep benchmark still passes it.
+    A k_lo or k_hi that is not an integer raises TypeError.
     """
     d = _family(family_id)
+    k_lo = _int_at_least(k_lo, None, TypeError, "k_lo")
+    k_hi = _int_at_least(k_hi, None, TypeError, "k_hi")
     if k_lo < 0 or k_hi < k_lo:
         raise ValueError(f"need 0 <= k_lo <= k_hi for family {family_id}")
     _check_apery_modulus(d.p_of_k(k_hi))
@@ -270,15 +273,17 @@ def fit_conjecture(pattern: OffsetPattern, p_modulus: int, p_residue: int, *,
     nothing with the family formula tables.  Samples are the first class
     members p >= min_p up to core.APERY_MODULUS_LIMIT; with primes_only, the
     ones find_tuplets finds.  Too few there, with max_p above the limit,
-    raise BoundExceededError.
+    raise BoundExceededError.  A p_modulus that is not a positive integer
+    raises DomainError; any other integer argument that is not one, TypeError.
     """
-    if p_modulus < 1:
-        raise DomainError(f"p_modulus must be at least 1, got {p_modulus}")
+    p_modulus = _int_at_least(p_modulus, 1, DomainError, "p_modulus")
+    p_residue = _int_at_least(p_residue, None, TypeError, "p_residue")
+    max_p = _int_at_least(max_p, None, TypeError, "max_p")
+    min_p = p_residue if min_p is None else _int_at_least(min_p, None, TypeError, "min_p")
+    max_samples = _int_at_least(max_samples, None, TypeError, "max_samples")
     if max_samples < 4:
         raise InsufficientSamplesError(
             f"need at least 4 sample points in the class, asked for {max_samples}")
-    if min_p is None:
-        min_p = p_residue
     if primes_only and (not is_admissible(pattern).admissible or
                         any(math.gcd(p_residue + b, p_modulus) > 1 for b in pattern.offsets)):
         # some p + b of the class is then always a multiple of one prime

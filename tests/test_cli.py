@@ -322,14 +322,16 @@ class TestVerifyGroup:
         code, payload = run_process("verify", "conjecture", "--pattern", "0,2,6",
                                     "--max-p", "1000", "--modulus", "0", "--residue", "5")
         assert code == 1
-        assert payload["error"]["type"] == "DomainError"
+        assert payload["error"] == {"type": "DomainError",
+                                    "message": "bad p_modulus 0: must be a positive integer"}
         assert payload["params"]["p_modulus"] == 0
 
     def test_conjecture_negative_modulus(self):
         code, payload = run_process("verify", "conjecture", "--pattern", "0,2,6",
                                     "--max-p", "1000", "--modulus", "-6", "--residue", "5")
         assert code == 1
-        assert payload["error"]["type"] == "DomainError"
+        assert payload["error"] == {"type": "DomainError",
+                                    "message": "bad p_modulus -6: must be a positive integer"}
         assert payload["params"]["p_modulus"] == -6
 
     def test_conjecture_primes_only_in_a_blocked_class_ends_at_once(self):
@@ -365,6 +367,15 @@ class TestVerifyGroup:
         code, _, err = run(capsys, "verify", "conjecture", "--pattern", "0,2,6,8",
                            "--max-p", "500")
         assert code == 2 and "--modulus" in err
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("half", [("--modulus", "12"), ("--residue", "11")])
+    def test_conjecture_half_a_class_is_a_usage_error(self, capsys, half, fmt):
+        # the pattern's one registered family must not stand in for the missing half
+        code, out, err = run(capsys, "verify", "conjecture", "--pattern", "0,2,6",
+                             "--max-p", "1000", *half, "--format", fmt)
+        assert code == 2 and out == ""
+        assert "--modulus and --residue must be given together" in err
 
 
 class TestConsoleScript:

@@ -129,7 +129,9 @@ class TestAperySet:
         ap = AperySet(2, [np.int64(0), 2 ** 70 + 1])
         assert ap.table == (0, 2 ** 70 + 1) and all(type(w) is int for w in ap.table)
 
-    @pytest.mark.parametrize("table", [(0, 1.0), (0, 2 ** 70 + 1.0), (0, "1")])
+    # numpy would read (0, True) as the int64 array (0, 1)
+    @pytest.mark.parametrize("table", [(0, 1.0), (0, 2 ** 70 + 1.0), (0, "1"),
+                                       (0, True), [0, True]])
     def test_non_integer_entries_are_refused(self, table):
         with pytest.raises(ValueError, match="bad table entry .*: must be an integer"):
             AperySet(2, table)

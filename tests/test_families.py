@@ -265,14 +265,17 @@ class TestStatedAt:
             assert str(info.value) == (f"{fid} states no {fact} at k={k}, p={p} "
                                        f"(k_min={d.k_min}, type_k_min={d.type_k_min})")
 
-    def test_invariants_read_the_row_twice(self, monkeypatch):
-        # once to pick engine or closed form, once behind the closed form's k guard
+    def test_invariants_read_the_row_once(self, monkeypatch):
+        # engine or closed form is chosen from k_min; only the k guard reads the row
         calls = []
         real = families.stated_at
         monkeypatch.setattr(families, "stated_at",
                             lambda fid, k: calls.append((fid, k)) or real(fid, k))
         assert invariants_closed_form("Q1", 100).genus == 2 * 100 ** 2 + 8 * 100 + 7
-        assert calls == [("Q1", 100)] * 2
+        assert calls == [("Q1", 100)]
+        calls.clear()
+        assert apery_grouped("Q1", 1)
+        assert calls == [("Q1", 1)]
 
 
 class TestNumpyIntegers:

@@ -93,6 +93,16 @@ class TestSmallestDiameter:
         with pytest.raises(KTooLargeError):
             smallest_diameter(1)
 
+    def test_numpy_k_gives_python_ints(self):
+        s, patterns = smallest_diameter(np.int64(3))
+        assert type(s) is int and s == 6
+        assert patterns == smallest_diameter(3)[1]
+
+    @pytest.mark.parametrize("k", [3.0, True])
+    def test_non_integers_are_refused(self, k):
+        with pytest.raises(TypeError, match="must be an integer"):
+            smallest_diameter(k)
+
     @pytest.mark.parametrize("k", [3, 4, 5])
     def test_exhaustive_including_odd_offsets(self, k):
         # independent search without the even-offsets shortcut

@@ -336,6 +336,18 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep_family("T1", -1, 3)
 
+    @pytest.mark.parametrize("k_lo", [False, 0.0])
+    def test_non_integer_bounds_are_refused(self, k_lo):
+        with pytest.raises(TypeError, match="must be an integer"):
+            sweep_family("T1", k_lo, 2)
+
+    def test_numpy_bounds_are_stored_as_python_ints(self):
+        report = sweep_family("T1", np.int64(0), np.int64(2))
+        assert type(report.k_lo) is int and type(report.k_hi) is int
+        payload = report.to_json_dict()
+        assert json.loads(json.dumps(payload)) == payload
+        assert payload == sweep_family("T1", 0, 2).to_json_dict()
+
     def test_workers_deterministic(self):
         # the keyword is accepted and ignored: sweeps always run serially
         default = sweep_family("T1", 0, 20)
@@ -416,8 +428,28 @@ class TestFitConjecture:
                            max_samples=max_samples)
 
     def test_zero_modulus_is_a_domain_error(self):
-        with pytest.raises(DomainError, match="p_modulus"):
+        with pytest.raises(DomainError, match="bad p_modulus 0: must be a positive integer"):
             fit_conjecture(OffsetPattern((0, 2, 6)), 0, 5, max_p=1000)
+
+    @pytest.mark.parametrize("modulus", [-6, True])
+    def test_negative_or_bool_modulus_is_a_domain_error(self, modulus):
+        with pytest.raises(DomainError, match="bad p_modulus .*: must be a positive integer"):
+            fit_conjecture(OffsetPattern((0, 2, 6)), modulus, 5, max_p=1000)
+
+    @pytest.mark.parametrize("keywords", [{"max_p": 1000.0}, {"max_p": 1000, "max_samples": 4.5},
+                                          {"max_p": 1000, "min_p": True}])
+    def test_non_integer_arguments_are_refused(self, keywords):
+        with pytest.raises(TypeError, match="must be an integer"):
+            fit_conjecture(OffsetPattern((0, 2, 6)), 6, 5, **keywords)
+
+    def test_numpy_integers_are_stored_as_python_ints(self):
+        pattern = OffsetPattern((0, 2, 6))
+        fit = fit_conjecture(pattern, np.int64(6), np.int64(5), max_p=np.int64(1000),
+                             min_p=np.int64(5), max_samples=np.int64(6))
+        payload = fit.to_json_dict()
+        assert json.loads(json.dumps(payload)) == payload
+        assert fit == fit_conjecture(pattern, 6, 5, max_p=1000, min_p=5, max_samples=6)
+        assert all(type(v) is int for v in (fit.p_modulus, fit.p_residue, *fit.samples[0]))
 
     def test_mixed_classes_are_not_quadratic(self):
         # sampling across different residue classes breaks the fit; this is
