@@ -3,8 +3,9 @@
 Twelve parametric families are registered, keyed by offset pattern and the
 residue class of the first generator p.  Each carries its Frobenius number
 as a quadratic F(p) and its tabulated type; the triplet and quadruplet
-families (T1, T2, Q1, Q2) also carry Apéry index sets and the genus and
-pseudo-Frobenius polynomials in k.  F in k is always F(p) at p = p(k).
+families (T1, T2, Q1, Q2) also carry generator identities, whose staircase
+is the Apéry index set, and the genus and pseudo-Frobenius polynomials in k.
+F in k is always F(p) at p = p(k).
 
 stated_at alone decides what a row states at k.  Below k_min (only Q1 at
 k = 0) the invariants and the grouped listing come from the Apéry engine,
@@ -13,7 +14,7 @@ and the listing groups the Apéry set by one rule for every family.
 
 from __future__ import annotations
 
-import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -218,6 +219,8 @@ def _apery_row(family_id: str, k: int) -> tuple[tuple[int, ...], dict]:
 def classify(p: int, pattern: OffsetPattern) -> tuple[str, int]:
     """Match (p, pattern) to a registered family and solve p = modulus*k + residue."""
     p = _int_at_least(p, None, TypeError, "p")
+    if not isinstance(pattern, OffsetPattern):
+        raise TypeError(f"pattern must be an OffsetPattern, not {type(pattern).__name__}")
     matching = [d for d in FAMILIES.values() if d.pattern == pattern]
     if not matching:
         raise UnsupportedPatternError(f"no registered family for pattern {pattern}")
@@ -238,45 +241,50 @@ def classify_tuplet(tuplet: PrimeTuplet) -> tuple[str, int]:
     return family_id, k
 
 
-# --- generator identities backing the index sets ---------------------------
+# --- generator identities and the Apéry index sets they cut out -----------
+#
+# Each identity is a pair (lhs, rhs) of coefficient vectors over n_1..n_k
+# with lhs.n = rhs.n; no lhs uses n_1.  The index set is the staircase the
+# left-hand sides cut out: the coefficient tuples over n_2..n_k that are
+# coordinatewise >= no lhs.  The identities are the only statement of it.
 
-def _identities_t1(k: int, n1: int, n2: int, n3: int) -> list[tuple[int, int]]:
+def _identities_t1(k: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     return [
-        (3 * n2, 2 * n1 + n3),
-        ((2 * k + 2) * n3, (2 * k + 3) * n1 + n2),
-        (2 * n2 + (2 * k + 1) * n3, (2 * k + 5) * n1),
+        ((0, 3, 0), (2, 0, 1)),                       # 3n2 = 2n1 + n3
+        ((0, 0, 2 * k + 2), (2 * k + 3, 1, 0)),       # (2k+2)n3 = (2k+3)n1 + n2
+        ((0, 2, 2 * k + 1), (2 * k + 5, 0, 0)),       # 2n2 + (2k+1)n3 = (2k+5)n1
     ]
 
 
-def _identities_t2(k: int, n1: int, n2: int, n3: int) -> list[tuple[int, int]]:
+def _identities_t2(k: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     return [
-        (3 * n2, n1 + 2 * n3),
-        ((2 * k + 3) * n3, (2 * k + 4) * n1 + n2),
-        (2 * n2 + (2 * k + 1) * n3, (2 * k + 5) * n1),
+        ((0, 3, 0), (1, 0, 2)),                       # 3n2 = n1 + 2n3
+        ((0, 0, 2 * k + 3), (2 * k + 4, 1, 0)),       # (2k+3)n3 = (2k+4)n1 + n2
+        ((0, 2, 2 * k + 1), (2 * k + 5, 0, 0)),       # 2n2 + (2k+1)n3 = (2k+5)n1
     ]
 
 
-def _identities_q1(k: int, n1: int, n2: int, n3: int, n4: int) -> list[tuple[int, int]]:
+def _identities_q1(k: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     return [
-        (3 * n2, 2 * n1 + n3),
-        (3 * n3, n2 + 2 * n4),
-        ((k + 2) * n4, (k + 3) * n1 + n3),
-        (n2 + n3, n1 + n4),
-        (n2 + (k + 1) * n4, (k + 4) * n1),
-        (2 * n2 + n4, n1 + 2 * n3),
-        (n3 + (k + 1) * n4, (k + 2) * n1 + 2 * n2),
-        (2 * n3 + k * n4, (k + 3) * n1 + n2),
+        ((0, 3, 0, 0), (2, 0, 1, 0)),                 # 3n2 = 2n1 + n3
+        ((0, 0, 3, 0), (0, 1, 0, 2)),                 # 3n3 = n2 + 2n4
+        ((0, 0, 0, k + 2), (k + 3, 0, 1, 0)),         # (k+2)n4 = (k+3)n1 + n3
+        ((0, 1, 1, 0), (1, 0, 0, 1)),                 # n2 + n3 = n1 + n4
+        ((0, 1, 0, k + 1), (k + 4, 0, 0, 0)),         # n2 + (k+1)n4 = (k+4)n1
+        ((0, 2, 0, 1), (1, 0, 2, 0)),                 # 2n2 + n4 = n1 + 2n3
+        ((0, 0, 1, k + 1), (k + 2, 2, 0, 0)),         # n3 + (k+1)n4 = (k+2)n1 + 2n2
+        ((0, 0, 2, k), (k + 3, 1, 0, 0)),             # 2n3 + kn4 = (k+3)n1 + n2
     ]
 
 
-def _identities_q2(k: int, n1: int, n2: int, n3: int, n4: int) -> list[tuple[int, int]]:
+def _identities_q2(k: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     return [
-        (3 * n2, 2 * n1 + n3),
-        (3 * n3, n2 + 2 * n4),
-        ((k + 2) * n4, (k + 3) * n1 + n2),
-        (n2 + n3, n1 + n4),
-        (2 * n2 + n4, n1 + 2 * n3),
-        (n3 + (k + 1) * n4, (k + 4) * n1),
+        ((0, 3, 0, 0), (2, 0, 1, 0)),                 # 3n2 = 2n1 + n3
+        ((0, 0, 3, 0), (0, 1, 0, 2)),                 # 3n3 = n2 + 2n4
+        ((0, 0, 0, k + 2), (k + 3, 1, 0, 0)),         # (k+2)n4 = (k+3)n1 + n2
+        ((0, 1, 1, 0), (1, 0, 0, 1)),                 # n2 + n3 = n1 + n4
+        ((0, 2, 0, 1), (1, 0, 2, 0)),                 # 2n2 + n4 = n1 + 2n3
+        ((0, 0, 1, k + 1), (k + 4, 0, 0, 0)),         # n3 + (k+1)n4 = (k+4)n1
     ]
 
 
@@ -290,87 +298,67 @@ _IDENTITIES = {
 
 def lemma_identities(family_id: str, k: int) -> bool:
     """Evaluate both sides of every generator identity of the family at k."""
-    gens, _ = _apery_row(family_id, k)
     k = _int_at_least(k, None, TypeError, "k")
-    return all(lhs == rhs for lhs, rhs in _IDENTITIES[family_id](k, *gens))
+    gens, _ = _apery_row(family_id, k)
+    return all(sum(map(operator.mul, lhs, gens)) == sum(map(operator.mul, rhs, gens))
+               for lhs, rhs in _IDENTITIES[family_id](k))
 
 
-# --- Apéry index sets -------------------------------------------------------
-#
-# Each index set is a union of coordinate boxes minus explicit exclusions.
-# A box is a tuple of ranges (one per coefficient); the same description
-# drives both enumeration and the arithmetic cardinality.
+def _index_lines(family_id: str, k: int) -> list[tuple[tuple[int, ...], int]]:
+    """The index set as lines along the largest generator n_k.
 
-def _index_pieces(family_id: str, k: int) -> list[tuple[tuple[range, ...], frozenset]]:
-    if family_id == "T1":
-        return [((range(3), range(2 * k + 2)), frozenset({(2, 2 * k + 1)}))]
-    if family_id == "T2":
-        return [((range(3), range(2 * k + 3)),
-                 frozenset({(2, 2 * k + 1), (2, 2 * k + 2)}))]
-    if family_id == "Q1":
-        return [
-            ((range(1, 2), range(1), range(k + 1)), frozenset()),
-            ((range(2, 3), range(1), range(1)), frozenset()),
-            ((range(1), range(1, 3), range(k + 1)), frozenset({(0, 2, k)})),
-            ((range(1), range(1), range(k + 2)), frozenset()),
-        ]
-    if family_id == "Q2":
-        return [
-            ((range(1, 2), range(1), range(k + 2)), frozenset()),
-            ((range(2, 3), range(1), range(1)), frozenset()),
-            ((range(1), range(1, 3), range(k + 1)), frozenset()),
-            ((range(1), range(1), range(k + 2)), frozenset()),
-        ]
-    raise UnsupportedPatternError(f"family {family_id} has no Apéry index set")
+    A pair (prefix, length) stands for the tuples (*prefix, c), 0 <= c < length.
+    The prefixes run below the largest lhs coordinate in each coordinate but
+    the last; the pure powers 3n2 and 3n3 make that bound exact.  A line's
+    length is the least last coordinate of an lhs whose other coordinates the
+    prefix reaches (each at most the prefix's); the pure power of n_k reaches
+    every prefix, so every line is finite.  Lines of length 0 are dropped.
+    """
+    corners = [lhs[1:] for lhs, _ in _IDENTITIES[family_id](k)]
+    bounds = [max(column) for column in zip(*corners)][:-1]
+    lines = []
+    for prefix in product(*map(range, bounds)):
+        length = min(c[-1] for c in corners if all(map(operator.le, c, prefix)))
+        if length:
+            lines.append((prefix, length))
+    return lines
 
 
 def _index_set(family_id: str, k: int) -> list[tuple[int, ...]]:
     """Coefficient tuples over the generators other than the multiplicity.
 
-    This enumerates the pieces one tuple at a time; apery_closed_form builds
-    the same pieces as arrays, and the tests compare the two.
+    This enumerates the lines one tuple at a time; apery_closed_form builds
+    the same lines as arrays, and the tests compare the two.
     """
-    out = []
-    for box, excluded in _index_pieces(family_id, k):
-        out.extend(combo for combo in product(*box) if combo not in excluded)
-    return out
+    return [(*prefix, c) for prefix, length in _index_lines(family_id, k) for c in range(length)]
 
 
 def _index_set_size(family_id: str, k: int) -> int:
-    """Cardinality of the index set, from the box dimensions."""
-    total = 0
-    for box, excluded in _index_pieces(family_id, k):
-        total += math.prod(len(r) for r in box)
-        total -= sum(1 for combo in excluded if all(c in r for c, r in zip(combo, box)))
-    return total
+    """Cardinality of the index set, the sum of the line lengths."""
+    return sum(length for _, length in _index_lines(family_id, k))
 
 
 def apery_closed_form(family_id: str, k: int) -> AperySet:
     """Materialize the family's Apéry set at parameter k.
 
-    Each box of the index set becomes one int64 array of values
-    (sum of coefficient times generator, broadcast over the box), with the
-    excluded combinations masked out; the values then fill the table by
-    residue.  Every slot starts at `modulus`, which AperySet refuses in any
-    class, so an index set of `modulus` members that misses a class fails there.
+    One int64 column holds c*n_k for c below the longest line; each line of
+    the index set is a slice of it plus the line's prefix combination.  The
+    values then fill the table by residue.  Every slot starts at `modulus`,
+    which AperySet refuses in any class, so an index set of `modulus` members
+    that misses a class fails there.
 
     p(k) above core.APERY_MODULUS_LIMIT raises the engine's BoundExceededError
-    before anything is allocated; below it every listed value, a sum of at
-    most 2k + 4 generators, fits in int64.
+    before anything is allocated; below it every listed value fits in int64:
+    a prefix takes at most two of each of n_2..n_{k-1} and a line at most
+    2k + 2 of n_k, so a value is a sum of at most 2k + 6 generators.
     """
     gens, _ = _apery_row(family_id, k)
     modulus = gens[0]
     _check_apery_modulus(modulus)
-    pieces = []
-    for box, excluded in _index_pieces(family_id, k):
-        values = sum(np.ix_(*(np.arange(r.start, r.stop, dtype=np.int64) * g
-                              for r, g in zip(box, gens[1:]))))
-        keep = np.ones(values.shape, dtype=bool)
-        for combo in excluded:
-            if all(c in r for c, r in zip(combo, box)):
-                keep[tuple(c - r.start for c, r in zip(combo, box))] = False
-        pieces.append(values[keep])
-    values = np.concatenate(pieces)
+    lines = _index_lines(family_id, k)
+    column = np.arange(max(length for _, length in lines), dtype=np.int64) * gens[-1]
+    values = np.concatenate([column[:length] + sum(map(operator.mul, prefix, gens[1:]))
+                             for prefix, length in lines])
     assert values.size == modulus, "index set cardinality must equal the modulus"
     table = np.full(modulus, modulus, dtype=np.int64)
     table[values % modulus] = values

@@ -252,7 +252,7 @@ def test_criterion_7_property_suites():
             assert make_semigroup([a, b]).frobenius_number() == a * b - a - b
 
         # index-set cardinalities across the whole k range, enumerated on a
-        # sampled subset (arithmetic piece counting covers every k)
+        # sampled subset (summing the line lengths covers every k)
         modulus_of = {"T1": lambda k: 6 * k + 5, "T2": lambda k: 6 * k + 7,
                       "Q1": lambda k: 4 * k + 5, "Q2": lambda k: 4 * k + 7}
         for fid, modulus in modulus_of.items():

@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -71,6 +72,13 @@ class TestClassify:
         with pytest.raises(UnsupportedPatternError):
             classify(3, OffsetPattern((0, 2, 4)))
 
+    def test_pattern_must_be_an_offset_pattern(self):
+        # Q1 and Q2 are registered for (0, 2, 6, 8); a bare tuple or list is a type error
+        with pytest.raises(TypeError, match=r"^pattern must be an OffsetPattern, not tuple$"):
+            classify(101, (0, 2, 6, 8))
+        with pytest.raises(TypeError, match=r"^pattern must be an OffsetPattern, not list$"):
+            frobenius_from_p(101, [0, 2, 6, 8])
+
     def test_classify_tuplet(self):
         t = PrimeTuplet(101, OffsetPattern((0, 2, 6, 8)))
         assert classify_tuplet(t) == ("Q1", 24)
@@ -114,6 +122,57 @@ class TestIndexSets:
         lo = FAMILIES[fid].k_min
         for k in range(lo, 10 ** 4 + 1):
             assert _index_set_size(fid, k) == MODULUS_OF[fid](k)
+
+
+def _paper_index_set(fid, k):
+    """The paper's Apéry index set: boxes of coefficient ranges minus excluded points."""
+    pieces = {
+        "T1": [((range(3), range(2 * k + 2)), {(2, 2 * k + 1)})],
+        "T2": [((range(3), range(2 * k + 3)), {(2, 2 * k + 1), (2, 2 * k + 2)})],
+        "Q1": [((range(1, 2), range(1), range(k + 1)), set()),
+               ((range(2, 3), range(1), range(1)), set()),
+               ((range(1), range(1, 3), range(k + 1)), {(0, 2, k)}),
+               ((range(1), range(1), range(k + 2)), set())],
+        "Q2": [((range(1, 2), range(1), range(k + 2)), set()),
+               ((range(2, 3), range(1), range(1)), set()),
+               ((range(1), range(1, 3), range(k + 1)), set()),
+               ((range(1), range(1), range(k + 2)), set())],
+    }[fid]
+    return {combo for box, excluded in pieces for combo in product(*box)} - \
+        set().union(*(excluded for _, excluded in pieces))
+
+
+class TestIndexSetsFromIdentities:
+    @pytest.mark.parametrize("fid", APERY_FAMILIES)
+    def test_staircase_is_the_papers_index_set(self, fid):
+        lo = FAMILIES[fid].k_min
+        rng = random.Random(19)
+        for k in [*range(lo, 401), *rng.sample(range(401, 10 ** 4), 12), 10 ** 4]:
+            derived = _index_set(fid, k)
+            assert len(derived) == len(set(derived)), k
+            assert set(derived) == _paper_index_set(fid, k), k
+
+    @staticmethod
+    def _mutations(identities):
+        """Each identity dropped, and each nonzero lhs coordinate made one larger."""
+        for i, (lhs, rhs) in enumerate(identities):
+            yield identities[:i] + identities[i + 1:]
+            for j, c in enumerate(lhs):
+                if c:
+                    bumped = (*lhs[:j], c + 1, *lhs[j + 1:])
+                    yield [*identities[:i], (bumped, rhs), *identities[i + 1:]]
+
+    @pytest.mark.parametrize("fid", APERY_FAMILIES)
+    def test_every_identity_carves_the_listing(self, fid, monkeypatch):
+        identities = families._IDENTITIES[fid]
+        lo = FAMILIES[fid].k_min
+        for k in (lo, lo + 1, 7, 40):
+            for mutated in self._mutations(identities(k)):
+                monkeypatch.setitem(families._IDENTITIES, fid, lambda _k: mutated)
+                with pytest.raises((AssertionError, ValueError)):
+                    apery_closed_form(fid, k)
+            monkeypatch.setitem(families._IDENTITIES, fid, identities)
+            assert apery_closed_form(fid, k).modulus == MODULUS_OF[fid](k)
 
 
 class TestAperyClosedForm:
@@ -166,12 +225,12 @@ class TestAperyClosedForm:
         assert invariants_closed_form("T1", 2).frobenius == 12 * 4 + 28 * 2 + 13
 
     def test_index_set_hitting_a_class_twice_is_refused(self, monkeypatch):
-        # T1 at k = 1 lists a*13 + b*17, in class 2a + 6b mod 11: (3, 1) lands on
-        # the class of (0, 2), and with (0, 1) left out nothing lands on class 6
-        monkeypatch.setattr(families, "_index_pieces", lambda fid, k: [
-            ((range(3), range(4)), frozenset({(0, 1), (2, 3)})),
-            ((range(3, 4), range(1, 2)), frozenset())])
-        with pytest.raises(ValueError, match=r"^table\[6\] = 11 is not congruent to 6 mod 11$"):
+        # T1 at k = 1 lists a*13 + b*17, in class 2a + 6b mod 11: the staircase
+        # under 5n2, 3n3 and 3n2 + n3 has 11 members, but (3, 0) lands on the
+        # class of (0, 1), (4, 0) on that of (1, 1), and nothing on class 7
+        monkeypatch.setitem(families._IDENTITIES, "T1", lambda k: [
+            (lhs, (0, 0, 0)) for lhs in ((0, 5, 0), (0, 0, 3), (0, 3, 1))])
+        with pytest.raises(ValueError, match=r"^table\[7\] = 11 is not congruent to 7 mod 11$"):
             apery_closed_form("T1", 1)
 
     def test_listing_bound_raises_before_allocating(self):
