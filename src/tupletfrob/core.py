@@ -137,17 +137,20 @@ class AperySet:
 
 @dataclass(frozen=True)
 class SemigroupInvariants:
-    frobenius: int
+    """Genus, sorted pseudo-Frobenius numbers and minimal generators; the rest derives."""
+
     genus: int
     pseudo_frobenius: tuple[int, ...]
-    type_: int
     minimal_generators: GeneratorSet
 
-    def __post_init__(self) -> None:
-        if self.frobenius != max(self.pseudo_frobenius):
-            raise ValueError("the Frobenius number must be the largest pseudo-Frobenius number")
-        if self.type_ != len(self.pseudo_frobenius):
-            raise ValueError("the type must count the pseudo-Frobenius numbers")
+    @property
+    def frobenius(self) -> int:
+        """The largest pseudo-Frobenius number."""
+        return max(self.pseudo_frobenius)
+
+    @property
+    def type_(self) -> int:
+        return len(self.pseudo_frobenius)
 
     @property
     def embedding_dimension(self) -> int:
@@ -298,12 +301,9 @@ class NumericalSemigroup:
 
     def invariants(self) -> SemigroupInvariants:
         """All classical invariants in one bundle (undefined for <1>)."""
-        pf = self.pseudo_frobenius()
         return SemigroupInvariants(
-            frobenius=self.frobenius_number(),
             genus=self.genus(),
-            pseudo_frobenius=pf,
-            type_=len(pf),
+            pseudo_frobenius=self.pseudo_frobenius(),
             minimal_generators=self.minimal_generators(),
         )
 

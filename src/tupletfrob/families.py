@@ -1,11 +1,13 @@
 """Closed forms for the constellation semigroup families.
 
 Twelve parametric families are registered, keyed by offset pattern and the
-residue class of the first generator p.  Each carries its Frobenius number
-as a quadratic F(p) and its tabulated type; the triplet and quadruplet
-families (T1, T2, Q1, Q2) also carry generator identities, whose staircase
-is the Apéry index set, and the genus and pseudo-Frobenius polynomials in k.
-F in k is always F(p) at p = p(k).
+residue class p = p_modulus*k + p_residue of the first generator p.  Every
+fact a row states is an integer polynomial in k: each row carries its
+Frobenius number as a quadratic in k and its tabulated type; the triplet and
+quadruplet families (T1, T2, Q1, Q2) also carry generator identities, whose
+staircase is the Apéry index set, and the genus and pseudo-Frobenius
+polynomials in k.  The paper's F(p) is derived, by substituting
+k = (p - p_residue)/p_modulus.
 
 stated_at alone decides what a row states at k.  Below k_min (only Q1 at
 k = 0) the invariants and the grouped listing come from the Apéry engine,
@@ -15,6 +17,7 @@ and the listing groups the Apéry set by one rule for every family.
 from __future__ import annotations
 
 import operator
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -35,7 +38,7 @@ from .errors import (
     ResidueMismatchError,
     UnsupportedPatternError,
 )
-from .tuplets import OffsetPattern, PrimeTuplet
+from .tuplets import OffsetPattern, PrimeTuplet, _check_pattern
 
 __all__ = [
     "FAMILIES",
@@ -66,21 +69,6 @@ class QuadraticPoly:
     def __call__(self, p: int) -> Fraction:
         return self.a2 * p * p + self.a1 * p + self.a0
 
-    def eval_int(self, p: int) -> int:
-        """Evaluate and insist on an integer result."""
-        value = self(p)
-        if value.denominator != 1:
-            raise ArithmeticError(f"{self} is not integral at p={p}")
-        return int(value)
-
-    def compose_linear(self, m: int, r: int) -> "QuadraticPoly":
-        """Coefficients of this polynomial evaluated at p = m*k + r, in k."""
-        return QuadraticPoly(
-            self.a2 * m * m,
-            2 * self.a2 * m * r + self.a1 * m,
-            self.a2 * r * r + self.a1 * r + self.a0,
-        )
-
     def as_json(self) -> dict:
         return {
             "a2": [self.a2.numerator, self.a2.denominator],
@@ -96,22 +84,39 @@ def _eval_poly(coeffs: tuple[int, int, int], k: int) -> int:
 
 @dataclass(frozen=True)
 class FamilyDescriptor:
-    """One parametric family: residue class, formulas, and validity thresholds."""
+    """One parametric family: residue class, integer polynomials in k, thresholds.
+
+    A polynomial (c2, c1, c0) is c2*k**2 + c1*k + c0.  The identities at k
+    are pairs (lhs, rhs) of coefficient vectors over n_1..n_k with
+    lhs.n = rhs.n; no lhs uses n_1.  The Apéry index set is the staircase
+    the left-hand sides cut out: the coefficient tuples over n_2..n_k that
+    are coordinatewise >= no lhs.  The identities are the only statement of it.
+    """
 
     id: str
     pattern: OffsetPattern
     p_modulus: int
     p_residue: int
-    k_min: int                      # F(p), index set and polynomials hold from here
-    f_from_p: QuadraticPoly         # F in k too, at p = p_of_k(k)
+    k_min: int                      # F, identities and polynomials hold from here
+    f_in_k: tuple[int, int, int]
     type_value: int
     type_k_min: int                 # validity of type_value
-    g_in_k: tuple[int, int, int] | None = None  # (c2, c1, c0); None: no Apéry form
+    # the Apéry form, all three or none: identities, genus and PF
+    identities: Callable[[int], list[tuple[tuple[int, ...], tuple[int, ...]]]] | None = None
+    g_in_k: tuple[int, int, int] | None = None
     pf_in_k: tuple[tuple[int, int, int], ...] | None = None
 
     @property
     def has_apery_form(self) -> bool:
         return self.pf_in_k is not None
+
+    @property
+    def f_from_p(self) -> QuadraticPoly:
+        """F(p): f_in_k at k = (p - r)/m, for m = p_modulus and r = p_residue."""
+        c2, c1, c0 = self.f_in_k
+        m, r = self.p_modulus, self.p_residue
+        return QuadraticPoly(Fraction(c2, m * m), Fraction(c1 * m - 2 * c2 * r, m * m),
+                             c0 + Fraction(c2 * r * r - c1 * r * m, m * m))
 
     def p_of_k(self, k: int) -> int:
         return self.p_modulus * _int_at_least(k, None, TypeError, "k") + self.p_residue
@@ -121,51 +126,60 @@ class FamilyDescriptor:
         return tuple(p + b for b in self.pattern.offsets)
 
 
-def _q(num: int, den: int = 1) -> Fraction:
-    return Fraction(num, den)
-
-
 FAMILIES: dict[str, FamilyDescriptor] = {d.id: d for d in (
     FamilyDescriptor(
-        "T1", OffsetPattern((0, 2, 6)), 6, 5, 0,
-        QuadraticPoly(_q(1, 3), _q(4, 3), _q(-2)), 2, 0,
+        "T1", OffsetPattern((0, 2, 6)), 6, 5, 0, (12, 28, 13), 2, 0,
+        identities=lambda k: [
+            ((0, 3, 0), (2, 0, 1)),                       # 3n2 = 2n1 + n3
+            ((0, 0, 2 * k + 2), (2 * k + 3, 1, 0)),       # (2k+2)n3 = (2k+3)n1 + n2
+            ((0, 2, 2 * k + 1), (2 * k + 5, 0, 0)),       # 2n2 + (2k+1)n3 = (2k+5)n1
+        ],
         g_in_k=(6, 16, 8), pf_in_k=((12, 28, 9), (12, 28, 13))),
     FamilyDescriptor(
-        "T2", OffsetPattern((0, 4, 6)), 6, 7, 0,
-        QuadraticPoly(_q(1, 3), _q(5, 3), _q(2)), 2, 0,
+        "T2", OffsetPattern((0, 4, 6)), 6, 7, 0, (12, 38, 30), 2, 0,
+        identities=lambda k: [
+            ((0, 3, 0), (1, 0, 2)),                       # 3n2 = n1 + 2n3
+            ((0, 0, 2 * k + 3), (2 * k + 4, 1, 0)),       # (2k+3)n3 = (2k+4)n1 + n2
+            ((0, 2, 2 * k + 1), (2 * k + 5, 0, 0)),       # 2n2 + (2k+1)n3 = (2k+5)n1
+        ],
         g_in_k=(6, 20, 16), pf_in_k=((12, 32, 15), (12, 38, 30))),
     FamilyDescriptor(
-        "Q1", OffsetPattern((0, 2, 6, 8)), 4, 5, 1,
-        QuadraticPoly(_q(1, 4), _q(3, 4), _q(-2)), 5, 1,
+        "Q1", OffsetPattern((0, 2, 6, 8)), 4, 5, 1, (4, 13, 8), 5, 1,
+        identities=lambda k: [
+            ((0, 3, 0, 0), (2, 0, 1, 0)),                 # 3n2 = 2n1 + n3
+            ((0, 0, 3, 0), (0, 1, 0, 2)),                 # 3n3 = n2 + 2n4
+            ((0, 0, 0, k + 2), (k + 3, 0, 1, 0)),         # (k+2)n4 = (k+3)n1 + n3
+            ((0, 1, 1, 0), (1, 0, 0, 1)),                 # n2 + n3 = n1 + n4
+            ((0, 1, 0, k + 1), (k + 4, 0, 0, 0)),         # n2 + (k+1)n4 = (k+4)n1
+            ((0, 2, 0, 1), (1, 0, 2, 0)),                 # 2n2 + n4 = n1 + 2n3
+            ((0, 0, 1, k + 1), (k + 2, 2, 0, 0)),         # n3 + (k+1)n4 = (k+2)n1 + 2n2
+            ((0, 0, 2, k), (k + 3, 1, 0, 0)),             # 2n3 + kn4 = (k+3)n1 + n2
+        ],
         g_in_k=(2, 8, 7), pf_in_k=((0, 4, 9), (4, 13, 2), (4, 13, 4), (4, 13, 6), (4, 13, 8))),
     FamilyDescriptor(
-        "Q2", OffsetPattern((0, 2, 6, 8)), 4, 7, 0,
-        QuadraticPoly(_q(1, 4), _q(5, 4), _q(-2)), 3, 0,
+        "Q2", OffsetPattern((0, 2, 6, 8)), 4, 7, 0, (4, 19, 19), 3, 0,
+        identities=lambda k: [
+            ((0, 3, 0, 0), (2, 0, 1, 0)),                 # 3n2 = 2n1 + n3
+            ((0, 0, 3, 0), (0, 1, 0, 2)),                 # 3n3 = n2 + 2n4
+            ((0, 0, 0, k + 2), (k + 3, 1, 0, 0)),         # (k+2)n4 = (k+3)n1 + n2
+            ((0, 1, 1, 0), (1, 0, 0, 1)),                 # n2 + n3 = n1 + n4
+            ((0, 2, 0, 1), (1, 0, 2, 0)),                 # 2n2 + n4 = n1 + 2n3
+            ((0, 0, 1, k + 1), (k + 4, 0, 0, 0)),         # n3 + (k+1)n4 = (k+4)n1
+        ],
         g_in_k=(2, 10, 12), pf_in_k=((0, 4, 11), (4, 19, 17), (4, 19, 19))),
+    FamilyDescriptor("Quin1", OffsetPattern((0, 2, 6, 8, 12)), 30, 11, 0, (150, 145, 31), 6, 0),
+    FamilyDescriptor("Quin2", OffsetPattern((0, 4, 6, 10, 12)), 30, 7, 0, (150, 125, 23), 4, 1),
+    FamilyDescriptor("Sex7", OffsetPattern((0, 4, 6, 10, 12, 16)), 120, 7, 0, (1800, 345, 16), 9, 1),
     FamilyDescriptor(
-        "Quin1", OffsetPattern((0, 2, 6, 8, 12)), 30, 11, 0,
-        QuadraticPoly(_q(1, 6), _q(7, 6), _q(-2)), 6, 0),
+        "Sex37", OffsetPattern((0, 4, 6, 10, 12, 16)), 120, 37, 0, (1800, 1275, 224), 7, 0),
     FamilyDescriptor(
-        "Quin2", OffsetPattern((0, 4, 6, 10, 12)), 30, 7, 0,
-        QuadraticPoly(_q(1, 6), _q(11, 6), _q(2)), 4, 1),
+        "Sex67", OffsetPattern((0, 4, 6, 10, 12, 16)), 120, 67, 0, (1800, 2205, 672), 5, 0),
     FamilyDescriptor(
-        "Sex7", OffsetPattern((0, 4, 6, 10, 12, 16)), 120, 7, 0,
-        QuadraticPoly(_q(1, 8), _q(9, 8), _q(2)), 9, 1),
+        "Sex97", OffsetPattern((0, 4, 6, 10, 12, 16)), 120, 97, 0, (1800, 3135, 1360), 5, 0),
     FamilyDescriptor(
-        "Sex37", OffsetPattern((0, 4, 6, 10, 12, 16)), 120, 37, 0,
-        QuadraticPoly(_q(1, 8), _q(11, 8), _q(2)), 7, 0),
+        "Sep1", OffsetPattern((0, 2, 6, 8, 12, 18, 20)), 30, 11, 1, (90, 93, 20), 13, 1),
     FamilyDescriptor(
-        "Sex67", OffsetPattern((0, 4, 6, 10, 12, 16)), 120, 67, 0,
-        QuadraticPoly(_q(1, 8), _q(13, 8), _q(2)), 5, 0),
-    FamilyDescriptor(
-        "Sex97", OffsetPattern((0, 4, 6, 10, 12, 16)), 120, 97, 0,
-        QuadraticPoly(_q(1, 8), _q(15, 8), _q(2)), 5, 0),
-    FamilyDescriptor(
-        "Sep1", OffsetPattern((0, 2, 6, 8, 12, 18, 20)), 30, 11, 1,
-        QuadraticPoly(_q(1, 10), _q(9, 10), _q(-2)), 13, 1),
-    FamilyDescriptor(
-        "Sep2", OffsetPattern((0, 2, 8, 12, 14, 18, 20)), 30, 29, 0,
-        QuadraticPoly(_q(1, 10), _q(11, 10), _q(-2)), 11, 0),
+        "Sep2", OffsetPattern((0, 2, 8, 12, 14, 18, 20)), 30, 29, 0, (90, 207, 114), 11, 0),
 )}
 
 
@@ -179,14 +193,15 @@ def _family(family_id: str) -> FamilyDescriptor:
 def stated_at(family_id: str, k: int) -> dict:
     """The facts the family row states at k, by name.
 
-    From k_min: `frobenius` (F(p) at p(k)) and, with an Apéry form, `genus`
-    and the sorted `pseudo_frobenius`.  From type_k_min: `type`.
+    From k_min: `frobenius` and, with an Apéry form, `genus` and the sorted
+    `pseudo_frobenius`, each an integer polynomial in k evaluated in integer
+    arithmetic.  From type_k_min: `type`.
     """
     d = _family(family_id)
     k = _int_at_least(k, None, TypeError, "k")
     facts = {}
     if k >= d.k_min:
-        facts["frobenius"] = d.f_from_p.eval_int(d.p_of_k(k))
+        facts["frobenius"] = _eval_poly(d.f_in_k, k)
         if d.has_apery_form:
             facts["genus"] = _eval_poly(d.g_in_k, k)
             facts["pseudo_frobenius"] = tuple(sorted(_eval_poly(c, k) for c in d.pf_in_k))
@@ -219,8 +234,7 @@ def _apery_row(family_id: str, k: int) -> tuple[tuple[int, ...], dict]:
 def classify(p: int, pattern: OffsetPattern) -> tuple[str, int]:
     """Match (p, pattern) to a registered family and solve p = modulus*k + residue."""
     p = _int_at_least(p, None, TypeError, "p")
-    if not isinstance(pattern, OffsetPattern):
-        raise TypeError(f"pattern must be an OffsetPattern, not {type(pattern).__name__}")
+    _check_pattern(pattern)
     matching = [d for d in FAMILIES.values() if d.pattern == pattern]
     if not matching:
         raise UnsupportedPatternError(f"no registered family for pattern {pattern}")
@@ -242,66 +256,13 @@ def classify_tuplet(tuplet: PrimeTuplet) -> tuple[str, int]:
 
 
 # --- generator identities and the Apéry index sets they cut out -----------
-#
-# Each identity is a pair (lhs, rhs) of coefficient vectors over n_1..n_k
-# with lhs.n = rhs.n; no lhs uses n_1.  The index set is the staircase the
-# left-hand sides cut out: the coefficient tuples over n_2..n_k that are
-# coordinatewise >= no lhs.  The identities are the only statement of it.
-
-def _identities_t1(k: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    return [
-        ((0, 3, 0), (2, 0, 1)),                       # 3n2 = 2n1 + n3
-        ((0, 0, 2 * k + 2), (2 * k + 3, 1, 0)),       # (2k+2)n3 = (2k+3)n1 + n2
-        ((0, 2, 2 * k + 1), (2 * k + 5, 0, 0)),       # 2n2 + (2k+1)n3 = (2k+5)n1
-    ]
-
-
-def _identities_t2(k: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    return [
-        ((0, 3, 0), (1, 0, 2)),                       # 3n2 = n1 + 2n3
-        ((0, 0, 2 * k + 3), (2 * k + 4, 1, 0)),       # (2k+3)n3 = (2k+4)n1 + n2
-        ((0, 2, 2 * k + 1), (2 * k + 5, 0, 0)),       # 2n2 + (2k+1)n3 = (2k+5)n1
-    ]
-
-
-def _identities_q1(k: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    return [
-        ((0, 3, 0, 0), (2, 0, 1, 0)),                 # 3n2 = 2n1 + n3
-        ((0, 0, 3, 0), (0, 1, 0, 2)),                 # 3n3 = n2 + 2n4
-        ((0, 0, 0, k + 2), (k + 3, 0, 1, 0)),         # (k+2)n4 = (k+3)n1 + n3
-        ((0, 1, 1, 0), (1, 0, 0, 1)),                 # n2 + n3 = n1 + n4
-        ((0, 1, 0, k + 1), (k + 4, 0, 0, 0)),         # n2 + (k+1)n4 = (k+4)n1
-        ((0, 2, 0, 1), (1, 0, 2, 0)),                 # 2n2 + n4 = n1 + 2n3
-        ((0, 0, 1, k + 1), (k + 2, 2, 0, 0)),         # n3 + (k+1)n4 = (k+2)n1 + 2n2
-        ((0, 0, 2, k), (k + 3, 1, 0, 0)),             # 2n3 + kn4 = (k+3)n1 + n2
-    ]
-
-
-def _identities_q2(k: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    return [
-        ((0, 3, 0, 0), (2, 0, 1, 0)),                 # 3n2 = 2n1 + n3
-        ((0, 0, 3, 0), (0, 1, 0, 2)),                 # 3n3 = n2 + 2n4
-        ((0, 0, 0, k + 2), (k + 3, 1, 0, 0)),         # (k+2)n4 = (k+3)n1 + n2
-        ((0, 1, 1, 0), (1, 0, 0, 1)),                 # n2 + n3 = n1 + n4
-        ((0, 2, 0, 1), (1, 0, 2, 0)),                 # 2n2 + n4 = n1 + 2n3
-        ((0, 0, 1, k + 1), (k + 4, 0, 0, 0)),         # n3 + (k+1)n4 = (k+4)n1
-    ]
-
-
-_IDENTITIES = {
-    "T1": _identities_t1,
-    "T2": _identities_t2,
-    "Q1": _identities_q1,
-    "Q2": _identities_q2,
-}
-
 
 def lemma_identities(family_id: str, k: int) -> bool:
     """Evaluate both sides of every generator identity of the family at k."""
     k = _int_at_least(k, None, TypeError, "k")
     gens, _ = _apery_row(family_id, k)
     return all(sum(map(operator.mul, lhs, gens)) == sum(map(operator.mul, rhs, gens))
-               for lhs, rhs in _IDENTITIES[family_id](k))
+               for lhs, rhs in FAMILIES[family_id].identities(k))
 
 
 def _index_lines(family_id: str, k: int) -> list[tuple[tuple[int, ...], int]]:
@@ -314,7 +275,7 @@ def _index_lines(family_id: str, k: int) -> list[tuple[tuple[int, ...], int]]:
     prefix reaches (each at most the prefix's); the pure power of n_k reaches
     every prefix, so every line is finite.  Lines of length 0 are dropped.
     """
-    corners = [lhs[1:] for lhs, _ in _IDENTITIES[family_id](k)]
+    corners = [lhs[1:] for lhs, _ in FAMILIES[family_id].identities(k)]
     bounds = [max(column) for column in zip(*corners)][:-1]
     lines = []
     for prefix in product(*map(range, bounds)):
@@ -388,10 +349,8 @@ def invariants_closed_form(family_id: str, k: int) -> SemigroupInvariants:
     if engine is not None:
         return engine.invariants()
     gens, facts = _apery_row(family_id, k)
-    return SemigroupInvariants(
-        frobenius=facts["frobenius"], genus=facts["genus"],
-        pseudo_frobenius=facts["pseudo_frobenius"], type_=facts["type"],
-        minimal_generators=GeneratorSet(gens))
+    return SemigroupInvariants(genus=facts["genus"], pseudo_frobenius=facts["pseudo_frobenius"],
+                               minimal_generators=GeneratorSet(gens))
 
 
 def frobenius_from_p(p: int, pattern: OffsetPattern) -> int:
@@ -441,9 +400,6 @@ def family_registry() -> list[dict]:
     """JSON-ready rows describing every registered family."""
     rows = []
     for d in FAMILIES.values():
-        f = d.f_from_p.compose_linear(d.p_modulus, d.p_residue)
-        if d.has_apery_form and any(c.denominator != 1 for c in (f.a2, f.a1, f.a0)):
-            raise ArithmeticError(f"{d.id}: F(p) is not integral in k")
         rows.append({
             "id": d.id,
             "pattern": list(d.pattern.offsets),
@@ -454,7 +410,7 @@ def family_registry() -> list[dict]:
             "frobenius_in_p_k_min": d.k_min,
             "type": d.type_value,
             "type_k_min": d.type_k_min,
-            "frobenius_in_k": [int(c) for c in (f.a2, f.a1, f.a0)] if d.has_apery_form else None,
+            "frobenius_in_k": list(d.f_in_k) if d.has_apery_form else None,
             "genus_in_k": list(d.g_in_k) if d.g_in_k else None,
             "pseudo_frobenius_in_k": [list(c) for c in d.pf_in_k] if d.pf_in_k else None,
         })

@@ -84,6 +84,12 @@ class OffsetPattern:
         return ",".join(str(b) for b in self.offsets)
 
 
+def _check_pattern(pattern) -> None:
+    """Raise the TypeError that every pattern-taking function gives for a non-pattern."""
+    if not isinstance(pattern, OffsetPattern):
+        raise TypeError(f"pattern must be an OffsetPattern, not {type(pattern).__name__}")
+
+
 @dataclass(frozen=True)
 class AdmissibilityReport:
     admissible: bool
@@ -120,6 +126,7 @@ def is_admissible(pattern: OffsetPattern) -> AdmissibilityReport:
     Only primes q <= k matter: k offsets cannot cover more than k classes.
     The witness, if any, is the smallest covered prime.
     """
+    _check_pattern(pattern)
     for q in _primes_up_to(pattern.size).tolist():
         residues = tuple(sorted(b % q for b in pattern.offsets))
         if len(set(residues)) == q:
@@ -194,6 +201,7 @@ class PrimeTuplet:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "p", _int_at_least(self.p, None, TypeError, "p"))
+        _check_pattern(self.pattern)
         composite = [q for q in self.primes if not is_prime(q)]
         if composite:
             raise ValueError(f"not a prime tuplet at p={self.p}: {composite} are composite")
@@ -251,6 +259,7 @@ def find_tuplets(
     anything, when hi + diameter is above SIEVE_HEIGHT_LIMIT or the diameter
     is above SIEVE_DIAMETER_LIMIT.
     """
+    _check_pattern(pattern)
     lo = _int_at_least(lo, None, TypeError, "lo")
     hi = _int_at_least(hi, None, TypeError, "hi")
     if lo > hi:

@@ -20,7 +20,7 @@ from . import core
 from .core import _check_apery_modulus, _int_at_least, make_semigroup, validate_generators
 from .errors import BoundExceededError, DomainError, InsufficientSamplesError
 from .families import FAMILIES, QuadraticPoly, apery_closed_form, stated_at, _family
-from .tuplets import OffsetPattern, _segment_tuplets, is_admissible
+from .tuplets import OffsetPattern, _check_pattern, _segment_tuplets, is_admissible
 
 __all__ = [
     "ConjectureFit",
@@ -274,8 +274,10 @@ def fit_conjecture(pattern: OffsetPattern, p_modulus: int, p_residue: int, *,
     members p >= min_p up to core.APERY_MODULUS_LIMIT; with primes_only, the
     ones find_tuplets finds.  Too few there, with max_p above the limit,
     raise BoundExceededError.  A p_modulus that is not a positive integer
-    raises DomainError; any other integer argument that is not one, TypeError.
+    raises DomainError; any other integer argument that is not one, TypeError,
+    as does a pattern that is not an OffsetPattern.
     """
+    _check_pattern(pattern)
     p_modulus = _int_at_least(p_modulus, 1, DomainError, "p_modulus")
     p_residue = _int_at_least(p_residue, None, TypeError, "p_residue")
     max_p = _int_at_least(max_p, None, TypeError, "max_p")

@@ -1,5 +1,6 @@
 """Closed-form family tests: identities, Apéry index sets, polynomials, classification."""
 
+import dataclasses
 import json
 import os
 import random
@@ -35,7 +36,7 @@ from tupletfrob.errors import (
     ResidueMismatchError,
     UnsupportedPatternError,
 )
-from tupletfrob.families import _index_set, _index_set_size
+from tupletfrob.families import QuadraticPoly, _index_set, _index_set_size
 from tupletfrob.verification import sweep_family
 
 from test_cli import SRC, _two_gib_address_space
@@ -164,14 +165,14 @@ class TestIndexSetsFromIdentities:
 
     @pytest.mark.parametrize("fid", APERY_FAMILIES)
     def test_every_identity_carves_the_listing(self, fid, monkeypatch):
-        identities = families._IDENTITIES[fid]
-        lo = FAMILIES[fid].k_min
-        for k in (lo, lo + 1, 7, 40):
-            for mutated in self._mutations(identities(k)):
-                monkeypatch.setitem(families._IDENTITIES, fid, lambda _k: mutated)
+        d = FAMILIES[fid]
+        for k in (d.k_min, d.k_min + 1, 7, 40):
+            for mutated in self._mutations(d.identities(k)):
+                monkeypatch.setitem(FAMILIES, fid,
+                                    dataclasses.replace(d, identities=lambda _k: mutated))
                 with pytest.raises((AssertionError, ValueError)):
                     apery_closed_form(fid, k)
-            monkeypatch.setitem(families._IDENTITIES, fid, identities)
+            monkeypatch.setitem(FAMILIES, fid, d)
             assert apery_closed_form(fid, k).modulus == MODULUS_OF[fid](k)
 
 
@@ -228,8 +229,9 @@ class TestAperyClosedForm:
         # T1 at k = 1 lists a*13 + b*17, in class 2a + 6b mod 11: the staircase
         # under 5n2, 3n3 and 3n2 + n3 has 11 members, but (3, 0) lands on the
         # class of (0, 1), (4, 0) on that of (1, 1), and nothing on class 7
-        monkeypatch.setitem(families._IDENTITIES, "T1", lambda k: [
+        patched = dataclasses.replace(FAMILIES["T1"], identities=lambda k: [
             (lhs, (0, 0, 0)) for lhs in ((0, 5, 0), (0, 0, 3), (0, 3, 1))])
+        monkeypatch.setitem(FAMILIES, "T1", patched)
         with pytest.raises(ValueError, match=r"^table\[7\] = 11 is not congruent to 7 mod 11$"):
             apery_closed_form("T1", 1)
 
@@ -434,18 +436,38 @@ class TestTypeFromFamily:
 # F in k as the paper prints it, (c2, c1, c0) for c2*k**2 + c1*k + c0
 PAPER_F_IN_K = {"T1": (12, 28, 13), "T2": (12, 38, 30), "Q1": (4, 13, 8), "Q2": (4, 19, 19)}
 
+# F(p) as the paper prints it, (a2, a1, a0) for a2*p**2 + a1*p + a0
+PAPER_F_OF_P = {
+    "T1": (Fraction(1, 3), Fraction(4, 3), Fraction(-2)),
+    "T2": (Fraction(1, 3), Fraction(5, 3), Fraction(2)),
+    "Q1": (Fraction(1, 4), Fraction(3, 4), Fraction(-2)),
+    "Q2": (Fraction(1, 4), Fraction(5, 4), Fraction(-2)),
+    "Quin1": (Fraction(1, 6), Fraction(7, 6), Fraction(-2)),
+    "Quin2": (Fraction(1, 6), Fraction(11, 6), Fraction(2)),
+    "Sex7": (Fraction(1, 8), Fraction(9, 8), Fraction(2)),
+    "Sex37": (Fraction(1, 8), Fraction(11, 8), Fraction(2)),
+    "Sex67": (Fraction(1, 8), Fraction(13, 8), Fraction(2)),
+    "Sex97": (Fraction(1, 8), Fraction(15, 8), Fraction(2)),
+    "Sep1": (Fraction(1, 10), Fraction(9, 10), Fraction(-2)),
+    "Sep2": (Fraction(1, 10), Fraction(11, 10), Fraction(-2)),
+}
+
 
 class TestPolynomialCoherence:
     @pytest.mark.parametrize("fid", APERY_FAMILIES)
     def test_frobenius_in_k_matches_the_paper(self, fid):
         d = FAMILIES[fid]
-        in_k = d.f_from_p.compose_linear(d.p_modulus, d.p_residue)
-        assert (in_k.a2, in_k.a1, in_k.a0) == tuple(map(Fraction, PAPER_F_IN_K[fid]))
+        assert d.f_in_k == PAPER_F_IN_K[fid]
         # the largest pseudo-Frobenius number is F
         assert max(d.pf_in_k) == PAPER_F_IN_K[fid]
         # the rows state the type twice: as a value and as the count of PF polynomials
         assert d.type_value == len(d.pf_in_k)
         assert d.type_k_min == d.k_min
+
+    @pytest.mark.parametrize("fid", FAMILIES)
+    def test_f_of_p_is_the_papers(self, fid):
+        # f_from_p is derived from f_in_k; the paper states the quadratic in p
+        assert FAMILIES[fid].f_from_p == QuadraticPoly(*PAPER_F_OF_P[fid])
 
     @pytest.mark.parametrize("fid", FAMILIES)
     def test_leading_coefficient_is_2_over_diameter(self, fid):
@@ -456,7 +478,7 @@ class TestPolynomialCoherence:
     def test_integrality_on_the_class(self, fid):
         d = FAMILIES[fid]
         for k in range(d.k_min, d.k_min + 25):
-            assert d.f_from_p(d.p_of_k(k)).denominator == 1
+            assert d.f_from_p(d.p_of_k(k)) == stated_at(fid, k)["frobenius"], k
 
 
 class TestGroupedListing:
@@ -503,6 +525,13 @@ class TestRegistry:
         assert by_id["T1"]["frobenius_in_p"] == {"a2": [1, 3], "a1": [4, 3], "a0": [-2, 1]}
         assert by_id["Sex37"]["pattern"] == [0, 4, 6, 10, 12, 16]
         assert by_id["Sep2"]["type"] == 11
+
+    def test_apery_form_is_all_or_nothing(self):
+        # identities, genus and PF polynomials come together, or the row has none
+        for d in FAMILIES.values():
+            stated = {d.identities is not None, d.g_in_k is not None, d.pf_in_k is not None}
+            assert len(stated) == 1, d.id
+            assert d.has_apery_form == (d.id in APERY_FAMILIES)
 
     def test_apery_rows_state_the_type_from_k_min(self):
         # invariants_closed_form reads the type behind the k_min guard alone

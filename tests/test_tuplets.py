@@ -11,7 +11,9 @@ import pytest
 from tupletfrob import (
     OffsetPattern,
     PrimeTuplet,
+    classify,
     find_tuplets,
+    fit_conjecture,
     is_admissible,
     is_prime,
     smallest_diameter,
@@ -51,6 +53,17 @@ class TestOffsetPattern:
     def test_bools_and_non_integers_are_refused(self, offsets):
         with pytest.raises(ValueError, match="bad offset"):
             OffsetPattern(offsets)
+
+    @pytest.mark.parametrize("call", [
+        lambda pattern: classify(5, pattern),
+        lambda pattern: is_admissible(pattern),
+        lambda pattern: find_tuplets(pattern, 5, 20),
+        lambda pattern: PrimeTuplet(5, pattern),
+        lambda pattern: fit_conjecture(pattern, 6, 5, max_p=1000),
+    ], ids=["classify", "is_admissible", "find_tuplets", "PrimeTuplet", "fit_conjecture"])
+    def test_every_pattern_taker_refuses_a_tuple(self, call):
+        with pytest.raises(TypeError, match=r"^pattern must be an OffsetPattern, not tuple$"):
+            call((0, 2, 6))
 
 
 class TestAdmissibility:
