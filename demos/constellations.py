@@ -5,7 +5,7 @@ Shows why {0,2,4} can never repeat as a prime pattern, searches for the
 tightest possible k-prime clusters, and sieves a range for real instances.
 """
 
-from tupletfrob import OffsetPattern, classify_tuplet, find_tuplets, is_admissible, smallest_diameter
+from tupletfrob import OffsetPattern, classify, find_tuplets, is_admissible, smallest_diameter
 
 print("=== admissibility ===")
 for offsets in ((0, 2, 6), (0, 2, 4), (0, 2, 6, 8), (0, 6, 12)):
@@ -37,6 +37,6 @@ print()
 print("=== classifying instances into parametric families ===")
 pattern = OffsetPattern((0, 2, 6, 8))
 for tuplet in find_tuplets(pattern, 2, 1500):
-    family_id, k = classify_tuplet(tuplet)
+    family_id, k = classify(tuplet.p, pattern)
     print(f"  {tuplet.primes} -> family {family_id}, k = {k}")
 print("the two quadruplet families alternate with the residue of p mod 4.")

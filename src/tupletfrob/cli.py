@@ -190,7 +190,7 @@ def _run_verify(args, params: dict) -> tuple[object, str]:
         result = fit.to_json_dict()
         poly = fit.poly
         text = (f"F(p) = ({poly.a2})p^2 + ({poly.a1})p + ({poly.a0}) on "
-                f"p = {modulus}k+{residue}\n"
+                f"p = {modulus}k{residue:+d}\n"
                 f"exact={fit.exact} a2==2/q={fit.a2_equals_2_over_q} "
                 f"a0_integer={fit.a0_integer} samples={len(fit.samples)}")
     return result, text

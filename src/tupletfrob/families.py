@@ -38,7 +38,7 @@ from .errors import (
     ResidueMismatchError,
     UnsupportedPatternError,
 )
-from .tuplets import OffsetPattern, PrimeTuplet, _check_pattern
+from .tuplets import OffsetPattern, _check_pattern
 
 __all__ = [
     "FAMILIES",
@@ -48,7 +48,6 @@ __all__ = [
     "apery_grouped",
     "apery_grouped_text",
     "classify",
-    "classify_tuplet",
     "family_registry",
     "frobenius_from_p",
     "invariants_closed_form",
@@ -246,15 +245,6 @@ def classify(p: int, pattern: OffsetPattern) -> tuple[str, int]:
         f"p={p} violates the residue condition of every family with pattern {pattern}")
 
 
-def classify_tuplet(tuplet: PrimeTuplet) -> tuple[str, int]:
-    """Classify a verified prime tuplet."""
-    family_id, k = classify(tuplet.p, tuplet.pattern)
-    if tuplet.pattern.size == 4 and tuplet.p > 3:
-        # first members of genuine prime quadruplets avoid the classes divisible by 3
-        assert tuplet.p % 12 in (5, 11)
-    return family_id, k
-
-
 # --- generator identities and the Apéry index sets they cut out -----------
 
 def lemma_identities(family_id: str, k: int) -> bool:
@@ -283,20 +273,6 @@ def _index_lines(family_id: str, k: int) -> list[tuple[tuple[int, ...], int]]:
         if length:
             lines.append((prefix, length))
     return lines
-
-
-def _index_set(family_id: str, k: int) -> list[tuple[int, ...]]:
-    """Coefficient tuples over the generators other than the multiplicity.
-
-    This enumerates the lines one tuple at a time; apery_closed_form builds
-    the same lines as arrays, and the tests compare the two.
-    """
-    return [(*prefix, c) for prefix, length in _index_lines(family_id, k) for c in range(length)]
-
-
-def _index_set_size(family_id: str, k: int) -> int:
-    """Cardinality of the index set, the sum of the line lengths."""
-    return sum(length for _, length in _index_lines(family_id, k))
 
 
 def apery_closed_form(family_id: str, k: int) -> AperySet:

@@ -45,13 +45,14 @@ _MR_WITNESS_COUNTS = ((1_373_653, 2), (25_326_001, 3), (3_215_031_751, 4),
 SIEVE_HEIGHT_LIMIT = 10 ** 16
 # Numbers per sieve segment; each segment's buffer also holds the diameter.
 _SEGMENT_LENGTH = 1 << 18
-# Base primes above the square root of a window are marked this many at a time.
-_MARK_BLOCK = 4096
+# Base primes above the square root of a window are marked in blocks that
+# list at most this many multiples in the window.
+_MARK_BUDGET = 1 << 16
 # find_tuplets also refuses patterns wider than this.  A segment buffer holds
 # 2^18 + diameter numbers, one byte of flags each.  At the limit its marking
-# peaks near 13 MB: the first block of base primes above sqrt(1.26e6) has
-# about 5e5 multiples in the window, listed in three int64 arrays.  The int32
-# cumsum of the consecutive test comes later and needs 5 MB.
+# peaks near 2.5 MB: the 1.26 MB of flags and a block's few int64 arrays of
+# at most _MARK_BUDGET entries.  The int32 cumsum of the consecutive test
+# comes later and needs 5 MB.
 SIEVE_DIAMETER_LIMIT = 10 ** 6
 
 
@@ -92,13 +93,14 @@ def _check_pattern(pattern) -> None:
 
 @dataclass(frozen=True)
 class AdmissibilityReport:
-    admissible: bool
+    """The smallest prime with every class covered, and the residues there; None if admissible."""
+
     witness_prime: int | None = None
     residues_at_witness: tuple[int, ...] | None = None
 
-    def __post_init__(self) -> None:
-        if self.admissible != (self.witness_prime is None):
-            raise ValueError("a witness prime exists exactly for inadmissible patterns")
+    @property
+    def admissible(self) -> bool:
+        return self.witness_prime is None
 
 
 def _primes_up_to(n: int) -> np.ndarray:
@@ -130,8 +132,8 @@ def is_admissible(pattern: OffsetPattern) -> AdmissibilityReport:
     for q in _primes_up_to(pattern.size).tolist():
         residues = tuple(sorted(b % q for b in pattern.offsets))
         if len(set(residues)) == q:
-            return AdmissibilityReport(False, q, residues)
-    return AdmissibilityReport(True)
+            return AdmissibilityReport(q, residues)
+    return AdmissibilityReport()
 
 
 def smallest_diameter(k: int) -> tuple[int, list[OffsetPattern]]:
@@ -216,8 +218,11 @@ def _sieve_flags(lo: int, hi: int, base_primes: np.ndarray) -> np.ndarray:
 
     base_primes must hold every prime up to isqrt(hi).  A prime no larger
     than the square root of the window size crosses off its multiples with
-    one slice.  The larger ones have few multiples each: they are listed
-    _MARK_BLOCK primes at a time and crossed off with one fancy-index store.
+    one slice.  The larger ones have few multiples each: they are listed a
+    block at a time and crossed off with one fancy-index store.  No prime of
+    a block has more than size // q + 1 multiples, for q its first prime, so
+    a block of _MARK_BUDGET // (size // q + 1) primes lists at most
+    _MARK_BUDGET of them; while size < 2^32 it holds at least one prime.
     Each prime p starts at the larger of p^2 and its first multiple >= lo,
     ceil(lo/p)*p, whose offset in the window is -lo mod p.
     """
@@ -226,8 +231,10 @@ def _sieve_flags(lo: int, hi: int, base_primes: np.ndarray) -> np.ndarray:
     small = np.searchsorted(base_primes, math.isqrt(size), side="right")
     for p in base_primes[:small].tolist():
         flags[max(p * p - lo, -lo % p)::p] = False
-    for i in range(small, len(base_primes), _MARK_BLOCK):
-        q = base_primes[i:i + _MARK_BLOCK]
+    i = small
+    while i < len(base_primes):
+        q = base_primes[i:i + _MARK_BUDGET // (size // int(base_primes[i]) + 1)]
+        i += len(q)
         first = np.maximum(q * q - lo, -lo % q)
         if q[0] >= size:  # at most one multiple each
             flags[first[first < size]] = False

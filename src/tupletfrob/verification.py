@@ -9,7 +9,6 @@ conjecture fitter recovers F(p) quadratics with exact rational arithmetic.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -155,7 +154,6 @@ class SweepReport:
     k_lo: int
     k_hi: int
     entries: tuple[SweepEntry, ...]
-    wall_time_s: float
 
     @property
     def all_match(self) -> bool:
@@ -166,7 +164,6 @@ class SweepReport:
         return tuple(e for e in self.entries if e.status != "match")
 
     def to_json_dict(self) -> dict:
-        # wall_time_s stays out, so identical sweeps serialise identically
         return {
             "family": self.family,
             "k_lo": self.k_lo,
@@ -219,23 +216,31 @@ def sweep_family(family_id: str, k_lo: int, k_hi: int, *,
     if k_lo < 0 or k_hi < k_lo:
         raise ValueError(f"need 0 <= k_lo <= k_hi for family {family_id}")
     _check_apery_modulus(d.p_of_k(k_hi))
-    start = time.perf_counter()
-    entries = tuple(_check_k(family_id, k) for k in range(k_lo, k_hi + 1))
-    return SweepReport(family_id, k_lo, k_hi, entries, time.perf_counter() - start)
+    return SweepReport(family_id, k_lo, k_hi,
+                       tuple(_check_k(family_id, k) for k in range(k_lo, k_hi + 1)))
 
 
 @dataclass(frozen=True)
 class ConjectureFit:
-    """Quadratic fit of F(p) over one residue class of first generators."""
+    """Quadratic fit of F(p) over one residue class; exact when every sample lies on poly."""
 
     pattern: OffsetPattern
     p_modulus: int
     p_residue: int
     samples: tuple[tuple[int, int], ...]
     poly: QuadraticPoly
-    exact: bool
-    a2_equals_2_over_q: bool
-    a0_integer: bool
+
+    @property
+    def exact(self) -> bool:
+        return all(self.poly(p) == f for p, f in self.samples)
+
+    @property
+    def a2_equals_2_over_q(self) -> bool:
+        return self.poly.a2 == Fraction(2, self.pattern.diameter)
+
+    @property
+    def a0_integer(self) -> bool:
+        return self.poly.a0.denominator == 1
 
     def to_json_dict(self) -> dict:
         return {
@@ -309,15 +314,5 @@ def fit_conjecture(pattern: OffsetPattern, p_modulus: int, p_residue: int, *,
             f"need at least 4 sample points in the class, found {len(ps)}")
     samples = tuple(
         (p, make_semigroup(p + b for b in pattern.offsets).frobenius_number()) for p in ps)
-    poly = _quadratic_through(samples[:3])
-    exact = all(poly(p) == f for p, f in samples[3:])
-    return ConjectureFit(
-        pattern=pattern,
-        p_modulus=p_modulus,
-        p_residue=p_residue,
-        samples=samples,
-        poly=poly,
-        exact=exact,
-        a2_equals_2_over_q=poly.a2 == Fraction(2, pattern.diameter),
-        a0_integer=poly.a0.denominator == 1,
-    )
+    return ConjectureFit(pattern=pattern, p_modulus=p_modulus, p_residue=p_residue,
+                         samples=samples, poly=_quadratic_through(samples[:3]))

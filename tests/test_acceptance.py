@@ -33,7 +33,8 @@ from tupletfrob.errors import (
     KBelowMinimumError,
     ResidueMismatchError,
 )
-from tupletfrob.families import _index_set, _index_set_size
+
+from test_families import _index_set, _index_set_size
 
 
 @contextmanager

@@ -306,6 +306,15 @@ class TestVerifyGroup:
         assert payload["result"]["exact"] is True
         assert payload["result"]["poly"]["a0"] == [-4, 1]
 
+    def test_conjecture_negative_residue_is_signed(self, capsys):
+        argv = ("verify", "conjecture", "--pattern", "0,2,6", "--max-p", "1000",
+                "--modulus", "6", "--residue", "-1")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out.splitlines()[0] == "F(p) = (1/3)p^2 + (4/3)p + (-2) on p = 6k-1"
+        code, payload, _ = run_json(capsys, *argv)
+        assert code == 0 and payload["result"]["p_residue"] == -1
+
     @pytest.mark.parametrize("samples", ["-1", "3"])
     def test_conjecture_too_few_samples_is_domain_error(self, capsys, samples):
         argv = ("verify", "conjecture", "--pattern", "0,2,6", "--max-p", "10000",
@@ -404,21 +413,34 @@ class TestEnvelope:
         assert first == second
 
 
+# each usage error and the start of the message argparse ends its report with
+USAGE_ERRORS = {
+    "sg frobenius --gens a,b":
+        "argument --gens: must be comma-separated unsigned decimal integers, got 'a,b'",
+    "sg frobenius --gens 3,9223372036854775808": "argument --gens: entries must be below 2**63",
+    "tuplets find --pattern 0,2,6 --from 20 --to 5": "--from 20 must not exceed --to 5",
+    "tuplets admissible --pattern 0,4,2":
+        "argument --pattern: bad pattern: offsets must be strictly increasing",
+    "formula eval --family T9 --k 1": "argument --family: invalid choice: 'T9'",
+    "verify sweep --family Q1 --k-range 5..3":
+        "argument --k-range: must look like LO..HI with LO <= HI, got '5..3'",
+    "verify conjecture --pattern 0,2,6,8 --max-p 500":
+        "--modulus/--residue are required unless the pattern matches exactly one "
+        "registered family",
+}
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize("fmt", ["text", "json"])
-    @pytest.mark.parametrize("command", [
-        "sg frobenius --gens a,b",
-        "tuplets find --pattern 0,2,6 --from 20 --to 5",
-        "formula eval --family T9 --k 1",
-        "verify sweep --family Q1 --k-range 5..3",
-        "verify conjecture --pattern 0,2,6,8 --max-p 500",
-    ])
+    @pytest.mark.parametrize("command", USAGE_ERRORS)
     def test_usage_line_names_the_subcommand(self, capsys, command, fmt):
         code, out, err = run(capsys, *command.split(), "--format", fmt)
         assert code == 2 and out == ""
         assert "Traceback" not in err
         group, name = command.split()[:2]
         assert err.splitlines()[0].startswith(f"usage: tupletfrob {group} {name} ")
+        assert err.splitlines()[-1].startswith(
+            f"tupletfrob {group} {name}: error: {USAGE_ERRORS[command]}")
 
 
 def _readme_commands():

@@ -20,7 +20,6 @@ from tupletfrob import (
     apery_grouped,
     apery_grouped_text,
     classify,
-    classify_tuplet,
     family_registry,
     frobenius_from_p,
     invariants_closed_form,
@@ -36,7 +35,7 @@ from tupletfrob.errors import (
     ResidueMismatchError,
     UnsupportedPatternError,
 )
-from tupletfrob.families import QuadraticPoly, _index_set, _index_set_size
+from tupletfrob.families import QuadraticPoly, _index_lines
 from tupletfrob.verification import sweep_family
 
 from test_cli import SRC, _two_gib_address_space
@@ -44,6 +43,20 @@ from test_cli import SRC, _two_gib_address_space
 APERY_FAMILIES = ("T1", "T2", "Q1", "Q2")
 MODULUS_OF = {"T1": lambda k: 6 * k + 5, "T2": lambda k: 6 * k + 7,
               "Q1": lambda k: 4 * k + 5, "Q2": lambda k: 4 * k + 7}
+
+
+def _index_set(fid, k):
+    """The index set's coefficient tuples over n_2..n_k, one tuple at a time.
+
+    apery_closed_form builds the same lines as arrays; this enumeration is
+    the reference the tests compare it with.
+    """
+    return [(*prefix, c) for prefix, length in _index_lines(fid, k) for c in range(length)]
+
+
+def _index_set_size(fid, k):
+    """Cardinality of the index set, the sum of the line lengths."""
+    return sum(length for _, length in _index_lines(fid, k))
 
 
 class TestClassify:
@@ -82,14 +95,17 @@ class TestClassify:
 
     def test_classify_tuplet(self):
         t = PrimeTuplet(101, OffsetPattern((0, 2, 6, 8)))
-        assert classify_tuplet(t) == ("Q1", 24)
+        assert classify(t.p, t.pattern) == ("Q1", 24)
 
     def test_sieved_tuplets_classify_below_1e5(self):
         from tupletfrob import find_tuplets
         for fid in ("T1", "T2", "Q1", "Quin1", "Quin2", "Sex7", "Sep1", "Sep2"):
             d = FAMILIES[fid]
             for t in find_tuplets(d.pattern, 7 if fid != "Sep2" else 2, 10 ** 5):
-                got_fid, k = classify_tuplet(t)
+                got_fid, k = classify(t.p, t.pattern)
+                if t.pattern.size == 4 and t.p > 3:
+                    # first members of prime quadruplets avoid the classes divisible by 3
+                    assert t.p % 12 in (5, 11), t.p
                 assert d.pattern == FAMILIES[got_fid].pattern
                 assert FAMILIES[got_fid].p_of_k(k) == t.p
 
@@ -325,6 +341,10 @@ class TestStatedAt:
                 call()
             assert str(info.value) == (f"{fid} states no {fact} at k={k}, p={p} "
                                        f"(k_min={d.k_min}, type_k_min={d.type_k_min})")
+
+    def test_unknown_family(self):
+        with pytest.raises(UnsupportedPatternError, match=r"^unknown family 'T9'$"):
+            stated_at("T9", 0)
 
     def test_invariants_read_the_row_once(self, monkeypatch):
         # engine or closed form is chosen from k_min; only the k guard reads the row

@@ -361,15 +361,19 @@ class TestSieveFlags:
             self.assert_flags(n, n)
 
     def test_a_high_window_peaks_below_6_mib(self):
-        # the base primes up to 3.2e6 and one segment's marking, a septuplet at 10^13
-        pattern = OffsetPattern((0, 2, 6, 8, 12, 18, 20))
-        tracemalloc.start()
-        try:
-            find_tuplets(pattern, 10 ** 13, 10 ** 13 + 199_999)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 6 << 20
+        # the base primes up to 3.2e6 and one segment's marking, a septuplet at
+        # 10^13; and a segment of 2^18 + 10^6 numbers at the diameter limit,
+        # whose blocks each list a bounded number of multiples
+        for offsets, lo, hi, consecutive in (
+                ((0, 2, 6, 8, 12, 18, 20), 10 ** 13, 10 ** 13 + 199_999, True),
+                ((0, SIEVE_DIAMETER_LIMIT), 10 ** 9, 10 ** 9 + (1 << 18) - 1, False)):
+            tracemalloc.start()
+            try:
+                find_tuplets(OffsetPattern(offsets), lo, hi, consecutive)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 6 << 20, offsets
 
 
 class TestSieveHeightBound:
