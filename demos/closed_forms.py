@@ -10,7 +10,7 @@ evaluates them and double-checks a few rows against the engine.
 from tupletfrob import (
     FAMILIES,
     apery_closed_form,
-    apery_grouped_text,
+    apery_grouped,
     frobenius_from_p,
     invariants_closed_form,
     make_semigroup,
@@ -28,7 +28,7 @@ print("=== triplet family T1 at k = 1 (S = <11,13,17>) ===")
 inv = invariants_closed_form("T1", 1)
 print("F =", inv.frobenius, " g =", inv.genus, " PF =", list(inv.pseudo_frobenius))
 print("Apéry set, grouped as the closed form clusters it:")
-print("  " + apery_grouped_text("T1", 1))
+print("  " + "; ".join(", ".join(map(str, block)) for block in apery_grouped("T1", 1)))
 engine = make_semigroup([11, 13, 17])
 print("engine agrees:", apery_closed_form("T1", 1).table == engine.apery_set().table)
 

@@ -15,13 +15,14 @@ import argparse
 import json
 import re
 import sys
+from dataclasses import asdict
+from fractions import Fraction
 
 from .core import make_semigroup
 from .errors import DomainError
 from .families import (
     FAMILIES,
-    apery_grouped_text,
-    family_registry,
+    apery_grouped,
     frobenius_from_p,
     invariants_closed_form,
     stated_at,
@@ -67,7 +68,9 @@ def _csv(values) -> str:
 
 
 # --- handlers: take parsed arguments, fill params, return (JSON result, text) ---
-# The library returns Python ints and tuples; json.dumps writes tuples as lists.
+# The library returns Python ints, tuples, Fractions and dataclasses; a payload
+# is a dataclass's fields (asdict) plus its derived verdicts.  json.dumps writes
+# tuples as lists and Fractions through _json_default.
 
 def _run_sg(args, params: dict) -> tuple[object, str]:
     params["gens"] = args.gens
@@ -134,7 +137,8 @@ def _run_formula(args, params: dict) -> tuple[object, str]:
         line = ", ".join(f"{_FACT_LABELS[name]}={_csv(v) if isinstance(v, tuple) else v}"
                          for name, v in result.items())
         if args.style == "paper" and "pseudo_frobenius" in result:
-            result["apery_grouped"] = apery_grouped_text(family_id, k)
+            result["apery_grouped"] = "; ".join(", ".join(map(str, group))
+                                                for group in apery_grouped(family_id, k))
             line += "\nAp: " + result["apery_grouped"]
         gens = FAMILIES[family_id].generators(k)
         result.update({"family": family_id, "k": k, "p": gens[0], "generators": gens})
@@ -144,7 +148,13 @@ def _run_formula(args, params: dict) -> tuple[object, str]:
         result = frobenius_from_p(args.p, args.pattern)
         text = str(result)
     else:  # list
-        result = family_registry()
+        result = [{"id": d.id, "pattern": d.pattern.offsets, "p_modulus": d.p_modulus,
+                   "p_residue": d.p_residue, "k_min": d.k_min,
+                   "frobenius_in_p": asdict(d.f_from_p), "frobenius_in_p_k_min": d.k_min,
+                   "type": d.type_value, "type_k_min": d.type_k_min,
+                   "frobenius_in_k": d.f_in_k if d.has_apery_form else None,
+                   "genus_in_k": d.g_in_k, "pseudo_frobenius_in_k": d.pf_in_k}
+                  for d in FAMILIES.values()]
         text = "\n".join(f"{row['id']:6s} pattern {_csv(row['pattern'])}"
                          f"  p = {row['p_modulus']}k+{row['p_residue']}"
                          f"  type {row['type']} (k >= {row['type_k_min']})"
@@ -159,7 +169,7 @@ def _run_verify(args, params: dict) -> tuple[object, str]:
         k_lo, k_hi = args.k_range
         params.update({"family": family_id, "k_lo": k_lo, "k_hi": k_hi})
         report = sweep_family(family_id, k_lo, k_hi)
-        result = report.to_json_dict()
+        result = {**asdict(report), "all_match": report.all_match}
         if report.all_match:
             text = f"{family_id} k={k_lo}..{k_hi}: all {len(report.entries)} checks match"
         else:
@@ -187,7 +197,8 @@ def _run_verify(args, params: dict) -> tuple[object, str]:
         fit = fit_conjecture(pattern, modulus, residue, max_p=args.max_p,
                              min_p=min_p, primes_only=args.primes_only,
                              max_samples=args.samples)
-        result = fit.to_json_dict()
+        result = {**asdict(fit), "pattern": pattern.offsets, "exact": fit.exact,
+                  "a2_equals_2_over_q": fit.a2_equals_2_over_q, "a0_integer": fit.a0_integer}
         poly = fit.poly
         text = (f"F(p) = ({poly.a2})p^2 + ({poly.a1})p + ({poly.a0}) on "
                 f"p = {modulus}k{residue:+d}\n"
@@ -197,6 +208,13 @@ def _run_verify(args, params: dict) -> tuple[object, str]:
 
 
 # --- parser / dispatch ----------------------------------------------------------
+
+def _json_default(value) -> list[int]:
+    """A Fraction as [numerator, denominator]; anything else json cannot write."""
+    if isinstance(value, Fraction):
+        return [value.numerator, value.denominator]
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -289,7 +307,7 @@ def main(argv: list[str] | None = None) -> int:
         outcome = {"result": result, "exit_code": 0}
     envelope = {"command": args.parser.prog.removeprefix("tupletfrob "), "params": params,
                 **outcome}
-    print(json.dumps(envelope, indent=2, sort_keys=True))
+    print(json.dumps(envelope, indent=2, sort_keys=True, default=_json_default))
     return outcome["exit_code"]
 
 

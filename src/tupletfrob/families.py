@@ -46,12 +46,9 @@ __all__ = [
     "QuadraticPoly",
     "apery_closed_form",
     "apery_grouped",
-    "apery_grouped_text",
     "classify",
-    "family_registry",
     "frobenius_from_p",
     "invariants_closed_form",
-    "lemma_identities",
     "stated_at",
     "type_from_family",
 ]
@@ -67,13 +64,6 @@ class QuadraticPoly:
 
     def __call__(self, p: int) -> Fraction:
         return self.a2 * p * p + self.a1 * p + self.a0
-
-    def as_json(self) -> dict:
-        return {
-            "a2": [self.a2.numerator, self.a2.denominator],
-            "a1": [self.a1.numerator, self.a1.denominator],
-            "a0": [self.a0.numerator, self.a0.denominator],
-        }
 
 
 def _eval_poly(coeffs: tuple[int, int, int], k: int) -> int:
@@ -247,14 +237,6 @@ def classify(p: int, pattern: OffsetPattern) -> tuple[str, int]:
 
 # --- generator identities and the Apéry index sets they cut out -----------
 
-def lemma_identities(family_id: str, k: int) -> bool:
-    """Evaluate both sides of every generator identity of the family at k."""
-    k = _int_at_least(k, None, TypeError, "k")
-    gens, _ = _apery_row(family_id, k)
-    return all(sum(map(operator.mul, lhs, gens)) == sum(map(operator.mul, rhs, gens))
-               for lhs, rhs in FAMILIES[family_id].identities(k))
-
-
 def _index_lines(family_id: str, k: int) -> list[tuple[tuple[int, ...], int]]:
     """The index set as lines along the largest generator n_k.
 
@@ -365,29 +347,3 @@ def apery_grouped(family_id: str, k: int) -> list[list[int]]:
     values = w.tolist()
     return [values[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
 
-
-def apery_grouped_text(family_id: str, k: int) -> str:
-    """Grouped listing as text, blocks separated by semicolons."""
-    return "; ".join(
-        ", ".join(str(v) for v in group) for group in apery_grouped(family_id, k))
-
-
-def family_registry() -> list[dict]:
-    """JSON-ready rows describing every registered family."""
-    rows = []
-    for d in FAMILIES.values():
-        rows.append({
-            "id": d.id,
-            "pattern": list(d.pattern.offsets),
-            "p_modulus": d.p_modulus,
-            "p_residue": d.p_residue,
-            "k_min": d.k_min,
-            "frobenius_in_p": d.f_from_p.as_json(),
-            "frobenius_in_p_k_min": d.k_min,
-            "type": d.type_value,
-            "type_k_min": d.type_k_min,
-            "frobenius_in_k": list(d.f_in_k) if d.has_apery_form else None,
-            "genus_in_k": list(d.g_in_k) if d.g_in_k else None,
-            "pseudo_frobenius_in_k": [list(c) for c in d.pf_in_k] if d.pf_in_k else None,
-        })
-    return rows

@@ -144,9 +144,6 @@ class SweepEntry:
     status: str                       # "match" or "mismatch"
     detail: dict | None = None        # mismatches carry both sides; informational otherwise
 
-    def to_json_dict(self) -> dict:
-        return {"k": self.k, "status": self.status, "detail": self.detail}
-
 
 @dataclass(frozen=True)
 class SweepReport:
@@ -162,15 +159,6 @@ class SweepReport:
     @property
     def mismatches(self) -> tuple[SweepEntry, ...]:
         return tuple(e for e in self.entries if e.status != "match")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "k_lo": self.k_lo,
-            "k_hi": self.k_hi,
-            "all_match": self.all_match,
-            "entries": [e.to_json_dict() for e in self.entries],
-        }
 
 
 def _check_k(family_id: str, k: int) -> SweepEntry:
@@ -241,18 +229,6 @@ class ConjectureFit:
     @property
     def a0_integer(self) -> bool:
         return self.poly.a0.denominator == 1
-
-    def to_json_dict(self) -> dict:
-        return {
-            "pattern": list(self.pattern.offsets),
-            "p_modulus": self.p_modulus,
-            "p_residue": self.p_residue,
-            "samples": [list(s) for s in self.samples],
-            "poly": self.poly.as_json(),
-            "exact": self.exact,
-            "a2_equals_2_over_q": self.a2_equals_2_over_q,
-            "a0_integer": self.a0_integer,
-        }
 
 
 def _quadratic_through(points) -> QuadraticPoly:

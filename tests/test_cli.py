@@ -7,13 +7,14 @@ import resource
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import tupletfrob
 from tupletfrob import verification
-from tupletfrob.cli import app, main
+from tupletfrob.cli import _json_default, app, main
 
 SRC = str(Path(tupletfrob.__file__).resolve().parents[1])
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -261,6 +262,15 @@ class TestFormulaGroup:
 
 
 class TestVerifyGroup:
+    @pytest.mark.parametrize("golden, argv", [
+        ("sweep_T2_0_8.json", ["sweep", "--family", "T2", "--k-range", "0..8"]),
+        ("conjecture_0,2,6_10000.json", ["conjecture", "--pattern", "0,2,6", "--max-p", "10000"]),
+    ])
+    def test_verify_json_stdout_is_byte_identical(self, capsys, golden, argv):
+        code, out, _ = run(capsys, "verify", *argv, "--format", "json")
+        assert code == 0
+        assert out.encode() == (GOLDEN / golden).read_bytes()
+
     def test_sweep(self, capsys):
         code, out, _ = run(capsys, "verify", "sweep", "--family", "T1", "--k-range", "0..5")
         assert code == 0 and "all 6 checks match" in out
@@ -411,6 +421,14 @@ class TestEnvelope:
         main(list(args))
         second = capsys.readouterr().out
         assert first == second
+
+    def test_json_default_writes_fractions_only(self):
+        assert _json_default(Fraction(-2, 3)) == [-2, 3]
+        for value in (object(), {1, 2}):
+            with pytest.raises(TypeError, match="is not JSON serializable"):
+                _json_default(value)
+        with pytest.raises(TypeError, match="set is not JSON serializable"):
+            json.dumps({"x": {1, 2}}, default=_json_default)
 
 
 # each usage error and the start of the message argparse ends its report with

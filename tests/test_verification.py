@@ -1,7 +1,6 @@
 """Oracle, sweep, and conjecture-fit tests."""
 
 import dataclasses
-import json
 import math
 import random
 import tracemalloc
@@ -36,6 +35,7 @@ from tupletfrob import core, verification
 from tupletfrob.tuplets import SIEVE_DIAMETER_LIMIT
 from tupletfrob.verification import _quadratic_through
 
+from test_cli import run_json
 from test_core import random_coprime_gens
 
 
@@ -254,14 +254,19 @@ class TestSweep:
         assert first.status == "match"
         assert first.detail == {"observed_frobenius": 27, "observed_type": 6}
 
-    def test_json_round_trip(self):
+    def test_json_round_trip(self, capsys):
+        # verify sweep writes every field of the report, and the verdict
         report = sweep_family("T2", 0, 10)
-        payload = report.to_json_dict()
-        assert json.loads(json.dumps(payload)) == payload
-        assert payload["family"] == "T2" and payload["all_match"] is True
-        assert len(payload["entries"]) == 11
+        code, payload, _ = run_json(capsys, "verify", "sweep", "--family", "T2",
+                                    "--k-range", "0..10")
+        assert code == 0
+        assert payload["result"] == {
+            "family": "T2", "k_lo": 0, "k_hi": 10, "all_match": True,
+            "entries": [{"k": e.k, "status": e.status, "detail": e.detail}
+                        for e in report.entries]}
+        assert len(payload["result"]["entries"]) == 11
 
-    def test_wrong_closed_genus_and_pf_are_mismatches(self, monkeypatch):
+    def test_wrong_closed_genus_and_pf_are_mismatches(self, monkeypatch, capsys):
         real = verification.stated_at
 
         def wrong(fid, k):
@@ -279,7 +284,10 @@ class TestSweep:
             "genus": {"closed": engine.genus() + 1, "engine": engine.genus()},
             "pseudo_frobenius": {"closed": (pf[0] - 1, *pf[1:]), "engine": pf},
         }
-        written = json.loads(json.dumps(report.to_json_dict()))["entries"][0]["detail"]
+        # the CLI writes the tuples of a mismatch as lists
+        _, payload, _ = run_json(capsys, "verify", "sweep", "--family", "T1", "--k-range", "1..1")
+        written = payload["result"]["entries"][0]["detail"]
+        assert payload["result"]["all_match"] is False
         assert written["pseudo_frobenius"] == {"closed": [pf[0] - 1, *pf[1:]],
                                                "engine": list(pf)}
 
@@ -344,15 +352,13 @@ class TestSweep:
     def test_numpy_bounds_are_stored_as_python_ints(self):
         report = sweep_family("T1", np.int64(0), np.int64(2))
         assert type(report.k_lo) is int and type(report.k_hi) is int
-        payload = report.to_json_dict()
-        assert json.loads(json.dumps(payload)) == payload
-        assert payload == sweep_family("T1", 0, 2).to_json_dict()
+        assert report == sweep_family("T1", 0, 2)
 
     def test_workers_deterministic(self):
         # the keyword is accepted and ignored: sweeps always run serially
         default = sweep_family("T1", 0, 20)
         given = sweep_family("T1", 0, 20, workers=4)
-        assert default.to_json_dict() == given.to_json_dict()
+        assert default == given
 
 
 class TestQuadraticThrough:
@@ -446,10 +452,11 @@ class TestFitConjecture:
         pattern = OffsetPattern((0, 2, 6))
         fit = fit_conjecture(pattern, np.int64(6), np.int64(5), max_p=np.int64(1000),
                              min_p=np.int64(5), max_samples=np.int64(6))
-        payload = fit.to_json_dict()
-        assert json.loads(json.dumps(payload)) == payload
         assert fit == fit_conjecture(pattern, 6, 5, max_p=1000, min_p=5, max_samples=6)
-        assert all(type(v) is int for v in (fit.p_modulus, fit.p_residue, *fit.samples[0]))
+        assert all(type(v) is int for v in (fit.p_modulus, fit.p_residue,
+                                            *(v for sample in fit.samples for v in sample)))
+        assert all(type(c) is Fraction and type(c.numerator) is int
+                   for c in dataclasses.astuple(fit.poly))
 
     def test_mixed_classes_are_not_quadratic(self):
         # sampling across different residue classes breaks the fit; this is
@@ -457,12 +464,19 @@ class TestFitConjecture:
         fit = fit_conjecture(OffsetPattern((0, 2, 6)), 2, 5, max_p=40)
         assert not fit.exact
 
-    def test_json_round_trip(self):
+    def test_json_round_trip(self, capsys):
+        # verify conjecture writes the poly's Fractions as [numerator, denominator]
         d = FAMILIES["Q2"]
         fit = fit_conjecture(d.pattern, d.p_modulus, d.p_residue, max_p=100)
-        payload = fit.to_json_dict()
-        assert json.loads(json.dumps(payload)) == payload
-        assert payload["poly"] == {"a2": [1, 4], "a1": [5, 4], "a0": [-2, 1]}
+        code, payload, _ = run_json(capsys, "verify", "conjecture", "--pattern", "0,2,6,8",
+                                    "--max-p", "100", "--modulus", "4", "--residue", "7")
+        assert code == 0
+        result = payload["result"]
+        assert result["poly"] == {"a2": [1, 4], "a1": [5, 4], "a0": [-2, 1]}
+        assert result["samples"] == [list(sample) for sample in fit.samples]
+        assert result["pattern"] == [0, 2, 6, 8]
+        assert (result["exact"], result["a2_equals_2_over_q"], result["a0_integer"]) == \
+            (fit.exact, fit.a2_equals_2_over_q, fit.a0_integer) == (True, True, True)
 
     def test_samples_cross_checked_against_oracle(self):
         d = FAMILIES["Quin2"]
