@@ -95,6 +95,15 @@ class TestSgGroup:
         assert payload["error"]["type"] == "BoundExceededError"
         assert payload["params"] == {"gens": [1000000007, 1000000009]}
 
+    @pytest.mark.parametrize("leaf, result", [
+        ("frobenius", 53), ("genus", 30), ("type", 2), ("pf", [49, 53]), ("msg", [11, 13, 17]),
+        ("apery", {"modulus": 11, "table": [0, 34, 13, 47, 26, 60, 17, 51, 30, 64, 43],
+                   "elements": [0, 13, 17, 26, 30, 34, 43, 47, 51, 60, 64]}),
+    ])
+    def test_json_result(self, capsys, leaf, result):
+        code, payload, _ = run_json(capsys, "sg", leaf, "--gens", "11,13,17")
+        assert code == 0 and payload["result"] == result
+
     def test_usage_error_exit_2(self, capsys):
         code, _, err = run(capsys, "sg", "frobenius", "--gens", "a,b")
         assert code == 2 and "usage" in err
@@ -141,7 +150,7 @@ class TestTupletsGroup:
             assert code == 1
             assert payload["error"]["type"] == "BoundExceededError"
             assert payload["params"] == {"pattern": pattern, "from": height, "to": height,
-                                         "consecutive": True}
+                                         "consecutive": True, "allow_inadmissible": False}
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_find_reversed_range_is_usage_error(self, capsys, fmt):
@@ -207,14 +216,18 @@ class TestFormulaGroup:
             argv += ["--format", "json"]
         code, out, _ = run(capsys, *argv)
         assert code == 0
-        assert out.encode() == (GOLDEN / f"eval_Quin1_7.{fmt}").read_bytes()
+        golden = (GOLDEN / f"eval_Quin1_7.{fmt}").read_bytes()
+        if fmt == "txt":
+            assert out.encode() == golden
+        else:  # the params echo --style paper; the result is the flat one
+            assert json.loads(out)["result"] == json.loads(golden)["result"]
 
     def test_eval_paper_style_above_listing_limit_exits_1_at_once(self):
         argv = ("formula", "eval", "--family", "T1", "--k", "100000000")
         code, payload = run_process(*argv, "--style", "paper", timeout=30)
         assert code == 1
         assert payload["error"]["type"] == "BoundExceededError"
-        assert payload["params"] == {"family": "T1", "k": 100000000}
+        assert payload["params"] == {"family": "T1", "k": 100000000, "style": "paper"}
         # without the listing, the invariants come from the polynomials
         code, payload = run_process(*argv, timeout=30)
         assert code == 0 and payload["result"]["p"] == 600000005
@@ -336,6 +349,17 @@ class TestVerifyGroup:
         assert payload["error"] == {
             "type": "InsufficientSamplesError",
             "message": f"need at least 4 sample points in the class, asked for {samples}"}
+        # min_p is the registered family's first p, as fit_conjecture was given it
+        assert payload["params"]["samples"] == int(samples)
+        assert payload["params"]["min_p"] == 5
+
+    def test_conjecture_above_the_engine_limit_echoes_min_p(self):
+        code, payload = run_process("verify", "conjecture", "--pattern", "0,2,6",
+                                    "--min-p", "9999990", "--max-p", "100000000", timeout=30)
+        assert code == 1
+        assert payload["error"]["type"] == "BoundExceededError"
+        assert payload["params"]["min_p"] == 9999990
+        assert payload["params"]["samples"] == 8
 
     def test_conjecture_zero_modulus(self):
         code, payload = run_process("verify", "conjecture", "--pattern", "0,2,6",
@@ -344,6 +368,7 @@ class TestVerifyGroup:
         assert payload["error"] == {"type": "DomainError",
                                     "message": "bad p_modulus 0: must be a positive integer"}
         assert payload["params"]["p_modulus"] == 0
+        assert payload["params"]["min_p"] is None  # explicit class, no --min-p
 
     def test_conjecture_negative_modulus(self):
         code, payload = run_process("verify", "conjecture", "--pattern", "0,2,6",
